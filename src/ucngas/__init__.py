@@ -52,13 +52,13 @@ from .specfun import (
     sommerfeld,
 )
 from .thermo import (
+    FREE,
+    TRAPPED,
     GasSpec,
     ThermoPoint,
     beta_epsf_from_eta,
     eta_from_t,
     fermi_energy,
-    free_gas_mu_over_ef,
-    free_gas_u_over_nef,
     internal_energy,
     mu_over_ef,
     mu_over_ef_sommerfeld,
@@ -77,10 +77,12 @@ __all__ = [
     "DimensionMismatchError",
     "DomainError",
     "EigenState",
+    "FREE",
     "GasSpec",
     "GravityScales",
     "NumericalError",
     "PhysicalConstants",
+    "TRAPPED",
     "ThermoPoint",
     "airy_ai",
     "airy_ai_prime",
@@ -107,8 +109,6 @@ __all__ = [
     "fermi_dirac",
     "fermi_dirac_maxwell",
     "fermi_energy",
-    "free_gas_mu_over_ef",
-    "free_gas_u_over_nef",
     "internal_energy",
     "mu_over_ef",
     "mu_over_ef_sommerfeld",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from .constants import (
     default_constants,
 )
 from .density import (
+    _tail_points,
     bottom_density_vs_fermi,
     density,
     density_ratio,
@@ -31,11 +31,16 @@ from .density import (
 )
 from .eigen import eigen_energy_asymptotic, eigen_energy_exact
 from .errors import DomainError, NumericalError
+from .specfun import ZERO_INDEX_MAX
 from .thermo import (
+    FREE,
+    T_DIMLESS_MAX,
+    T_DIMLESS_MIN,
+    TRAPPED,
     GasSpec,
     eta_from_t,
-    free_gas_mu_over_ef,
-    free_gas_u_over_nef,
+    internal_energy,
+    mu_over_ef,
     thermo_point,
     thermo_point_from_eta,
 )
@@ -43,6 +48,10 @@ from .thermo import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
+
+# largest table one request may produce; fig2 is charged its worst case,
+# a tail extension on every temperature
+MAX_ROWS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -55,78 +64,71 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one invocation."""
-
-    constants: PhysicalConstants
-    out: Path | None
-    fmt: str  # "csv" or "json"
-    paper_literal: bool
-    t_min: float
-    t_max: float
-    t_steps: int
-    z_steps: int
-    efermi_min_K: float
-    efermi_max_K: float
-
-    def __post_init__(self) -> None:
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.fmt!r}")
-        if not (0.0 < self.t_min < self.t_max):
-            raise DomainError("need 0 < t_min < t_max")
-        if self.t_steps < 2 or self.z_steps < 2:
-            raise DomainError("step counts must be at least 2")
-        if not (0.0 < self.efermi_min_K < self.efermi_max_K):
-            raise DomainError("need 0 < efermi_min_K < efermi_max_K")
+def _steps(text: str) -> int:
+    steps = int(text)
+    if not 2 <= steps <= MAX_ROWS:
+        raise argparse.ArgumentTypeError(f"must lie in 2..{MAX_ROWS}, got {steps}")
+    return steps
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ucngas", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p):
+    def command(name, run, summary, table=True):
+        # resolved per call, so a rebound cmd_* (a tracer, a test double) is the one run
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--config", type=Path, help="flat key=value constants file")
         p.add_argument("--out", type=Path, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
+
+    def t_sweep(p):
+        p.add_argument("--t-min", type=float, default=0.01)
+        p.add_argument("--t-max", type=float, default=2.0)
+        p.add_argument("--t-steps", type=_steps, default=200, help="sweep point count")
+
+    def paper_literal(p):
         p.add_argument(
             "--paper-literal",
             action="store_true",
             help="omit the spin factor 2 from absolute densities",
         )
-        p.add_argument("--t-min", type=float, default=0.01)
-        p.add_argument("--t-max", type=float, default=2.0)
-        p.add_argument("--t-steps", type=int, default=200, help="sweep point count")
-        p.add_argument("--z-steps", type=int, default=400, help="height grid point count")
-        p.add_argument("--efermi-min-k", type=float, default=1.0e-6)
-        p.add_argument("--efermi-max-k", type=float, default=1.0e-1)
 
-    p_eigen = sub.add_parser("eigen", help="vertical level table, exact vs asymptotic")
-    add_common(p_eigen)
-    p_eigen.add_argument("--n-max", type=int, default=10)
+    p = command("eigen", cmd_eigen, "vertical level table, exact vs asymptotic")
+    p.add_argument("--n-max", type=int, default=10)
 
-    p_fig1 = sub.add_parser("fig1", help="mu and U against t, with the free-gas baseline")
-    add_common(p_fig1)
-    p_fig1.add_argument(
+    p = command("fig1", cmd_fig1, "mu and U against t, with the free-gas baseline")
+    t_sweep(p)
+    p.add_argument(
         "--parametric",
         action="store_true",
         help="sweep the reduced chemical potential instead of inverting at every t",
     )
 
-    p_fig2 = sub.add_parser("fig2", help="normalized density profiles n(t,z)/n(0,0)")
-    add_common(p_fig2)
+    p = command("fig2", cmd_fig2, "normalized density profiles n(t,z)/n(0,0)")
+    t_sweep(p)
+    p.add_argument("--z-steps", type=_steps, default=400, help="height grid point count")
 
-    p_fig3 = sub.add_parser("fig3", help="zero-T bottom density against eps_F/k_B")
-    add_common(p_fig3)
+    p = command("fig3", cmd_fig3, "zero-T bottom density against eps_F/k_B")
+    p.add_argument("--efermi-min-k", type=float, default=1.0e-6)
+    p.add_argument("--efermi-max-k", type=float, default=1.0e-1)
+    p.add_argument("--t-steps", type=_steps, default=200, help="sweep point count")
+    paper_literal(p)
 
-    p_report = sub.add_parser("report", help="worked numbers for one gas (always JSON)")
-    add_common(p_report)
-    p_report.add_argument(
-        "--efermi-k", type=float, required=True, help="Fermi energy as a temperature (K)"
-    )
-    p_report.add_argument("--t", type=float, default=1.0e-3, help="reduced temperature")
+    p = command("report", cmd_report, "worked numbers for one gas (always JSON)", table=False)
+    p.add_argument("--efermi-k", type=float, required=True, help="Fermi energy eps_F / k_B (K)")
+    p.add_argument("--t", type=float, default=1.0e-3, help="reduced temperature")
+    paper_literal(p)
 
     return parser
+
+
+def _check_window(lo: float, hi: float, flags: str) -> None:
+    if not (0.0 < lo < hi):
+        raise _UsageError(f"need 0 < {flags}, got {lo!r} and {hi!r}")
 
 
 def _fmt(value) -> str:
@@ -139,107 +141,95 @@ def _constants_meta(c: PhysicalConstants) -> dict:
     return {"m_kg": c.m, "g_mps2": c.g, "hbar_Js": c.hbar, "kB_JpK": c.kB, "h_Js": c.h}
 
 
-def _render_table(cfg: RunConfig, meta: dict, columns: list[str], rows: list[tuple]) -> str:
-    if cfg.fmt == "csv":
+def _render_table(fmt: str, meta: dict, columns: list[str], rows: list[tuple]) -> str:
+    if fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
     payload = {
-        "meta": dict(meta, columns=columns, constants=_constants_meta(cfg.constants)),
+        "meta": dict(meta, columns=columns, format=fmt),
         "rows": [list(row) for row in rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _t_grid(cfg: RunConfig) -> np.ndarray:
-    return np.geomspace(cfg.t_min, cfg.t_max, cfg.t_steps)
-
-
-def cmd_eigen(cfg: RunConfig, n_max: int) -> tuple[dict, list[str], list[tuple]]:
+def cmd_eigen(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
     """Rows (n_z, exact and asymptotic level in peV, relative error)."""
+    n_max = args.n_max
+    if not (1 <= n_max <= ZERO_INDEX_MAX):
+        raise _UsageError(f"--n-max must lie in 1..{ZERO_INDEX_MAX}, got {n_max}")
     columns = ["n_z", "E_exact_peV", "E_asymptotic_peV", "rel_error"]
     rows = []
     for n in range(1, n_max + 1):
-        exact = eigen_energy_exact(n, cfg.constants)
-        asym = eigen_energy_asymptotic(n, cfg.constants)
+        exact = eigen_energy_exact(n, constants)
+        asym = eigen_energy_asymptotic(n, constants)
         rows.append(
             (n, convert(exact, "J", "peV"), convert(asym, "J", "peV"), abs(asym - exact) / exact)
         )
-    return {"command": "eigen", "grid": {"n_max": n_max}}, columns, rows
+    return {"n_max": n_max}, columns, rows
 
 
-def cmd_fig1(cfg: RunConfig, parametric: bool = False) -> tuple[dict, list[str], list[tuple]]:
+def cmd_fig1(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
     """Chemical potential and internal energy sweep with free-gas columns."""
+    _check_window(args.t_min, args.t_max, "--t-min < --t-max")
     columns = ["t", "mu_over_ef", "u_over_nef", "mu_free_over_ef", "u_free_over_nef"]
-    if parametric:
-        eta_hi = eta_from_t(cfg.t_min)
-        eta_lo = eta_from_t(cfg.t_max)
-        points = [thermo_point_from_eta(e) for e in np.linspace(eta_hi, eta_lo, cfg.t_steps)]
+    if args.parametric:
+        eta_hi = eta_from_t(args.t_min, TRAPPED)
+        eta_lo = eta_from_t(args.t_max, TRAPPED)
+        points = [thermo_point_from_eta(e) for e in np.linspace(eta_hi, eta_lo, args.t_steps)]
     else:
-        points = [thermo_point(t) for t in _t_grid(cfg)]
-    rows = [
-        (p.t, p.mu_over_ef, p.u_over_nef, free_gas_mu_over_ef(p.t), free_gas_u_over_nef(p.t))
-        for p in points
-    ]
-    meta = {
-        "command": "fig1",
-        "grid": {
-            "t_min": cfg.t_min,
-            "t_max": cfg.t_max,
-            "t_steps": cfg.t_steps,
-            "parametric": parametric,
-        },
-    }
-    return meta, columns, rows
+        points = [thermo_point(t) for t in np.geomspace(args.t_min, args.t_max, args.t_steps)]
+    rows = []
+    for p in points:
+        # the eta -> t round trip can overshoot the solver's range by a rounding error
+        t = min(max(p.t, T_DIMLESS_MIN), T_DIMLESS_MAX)
+        rows.append((t, p.mu_over_ef, p.u_over_nef, mu_over_ef(t, FREE), internal_energy(t, FREE)))
+    grid = {name: getattr(args, name) for name in ("t_min", "t_max", "t_steps", "parametric")}
+    return grid, columns, rows
 
 
-def cmd_fig2(cfg: RunConfig) -> tuple[dict, list[str], list[tuple]]:
+def cmd_fig2(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
     """Long-format table of n(t,z)/n(0,0) over a t grid and a height grid."""
+    _check_window(args.t_min, args.t_max, "--t-min < --t-max")
+    n_rows = args.t_steps * (args.z_steps + _tail_points(args.z_steps))
+    if n_rows > MAX_ROWS:
+        raise _UsageError(f"--t-steps and --z-steps ask for {n_rows} rows, more than {MAX_ROWS}")
     columns = ["t", "mgz_over_ef", "n_over_n00"]
     rows = []
-    for t in _t_grid(cfg):
-        for x in ratio_grid(t, cfg.z_steps):
+    for t in np.geomspace(args.t_min, args.t_max, args.t_steps):
+        for x in ratio_grid(t, args.z_steps):
             rows.append((float(t), float(x), density_ratio(t, x)))
-    meta = {
-        "command": "fig2",
-        "grid": {
-            "t_min": cfg.t_min,
-            "t_max": cfg.t_max,
-            "t_steps": cfg.t_steps,
-            "z_steps": cfg.z_steps,
-        },
-    }
-    return meta, columns, rows
+    grid = {name: getattr(args, name) for name in ("t_min", "t_max", "t_steps", "z_steps")}
+    return grid, columns, rows
 
 
-def cmd_fig3(cfg: RunConfig) -> tuple[dict, list[str], list[tuple]]:
+def cmd_fig3(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
     """Zero-T bottom density (cm^-3) against eps_F/k_B (K), log-spaced."""
+    _check_window(args.efermi_min_k, args.efermi_max_k, "--efermi-min-k < --efermi-max-k")
     columns = ["efermi_K", "n0_cm3"]
-    temps = np.geomspace(cfg.efermi_min_K, cfg.efermi_max_K, cfg.t_steps)
-    values = bottom_density_vs_fermi(temps, cfg.constants, paper_literal=cfg.paper_literal)
+    temps = np.geomspace(args.efermi_min_k, args.efermi_max_k, args.t_steps)
+    values = bottom_density_vs_fermi(temps, constants, paper_literal=args.paper_literal)
     rows = [(float(T), convert(float(n), "m^-3", "cm^-3")) for T, n in zip(temps, values)]
-    meta = {
-        "command": "fig3",
-        "grid": {
-            "efermi_min_K": cfg.efermi_min_K,
-            "efermi_max_K": cfg.efermi_max_K,
-            "steps": cfg.t_steps,
-        },
-        "paper_literal": cfg.paper_literal,
+    grid = {
+        "efermi_min_K": args.efermi_min_k,
+        "efermi_max_K": args.efermi_max_k,
+        "steps": args.t_steps,
     }
-    return meta, columns, rows
+    return grid, columns, rows
 
 
-def cmd_report(cfg: RunConfig, efermi_K: float, t: float) -> dict:
+def cmd_report(args, constants: PhysicalConstants) -> dict:
     """Worked numbers for a gas with the given Fermi energy (as a temperature).
 
     The diluteness comparison evaluates the thermal wavelength at the
     Fermi temperature, which is the degeneracy-onset scale; the actual
     temperature t * eps_F / k_B is reported alongside.
     """
-    c = cfg.constants
+    efermi_K, t, c = args.efermi_k, args.t, constants
+    if not (np.isfinite(efermi_K) and efermi_K > 0.0):
+        raise _UsageError(f"--efermi-k must be positive, got {efermi_K!r}")
     spec = GasSpec.from_fermi_energy(efermi_K * c.kB, L=1.0, constants=c)
-    n0 = density(t, 0.0, spec, c, paper_literal=cfg.paper_literal)
+    n0 = density(t, 0.0, spec, c, paper_literal=args.paper_literal)
     dil = diluteness(n0, efermi_K, c)
     summary = {
         "efermi_K": efermi_K,
@@ -247,7 +237,7 @@ def cmd_report(cfg: RunConfig, efermi_K: float, t: float) -> dict:
         "efermi_peV": convert(spec.eps_F, "J", "peV"),
         "t": t,
         "temperature_K": t * efermi_K,
-        "eta": eta_from_t(t),
+        "eta": eta_from_t(t, TRAPPED),
         "column_height_m": spec.eps_F / (c.m * c.g),
         "column_height_cm": convert(spec.eps_F / (c.m * c.g), "m", "cm"),
         "bottom_density_m3": n0,
@@ -255,7 +245,7 @@ def cmd_report(cfg: RunConfig, efermi_K: float, t: float) -> dict:
         "mean_separation_cm": convert(dil.mean_separation, "m", "cm"),
         "thermal_wavelength_cm": convert(dil.thermal_wavelength, "m", "cm"),
         "degenerate": dil.degenerate,
-        "paper_literal": cfg.paper_literal,
+        "paper_literal": args.paper_literal,
     }
     return {"meta": {"command": "report", "constants": _constants_meta(c)}, "summary": summary}
 
@@ -264,76 +254,39 @@ def _load_constants(config_path: Path | None) -> PhysicalConstants:
     if config_path is None:
         return default_constants()
     try:
-        text = config_path.read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {config_path}: {exc}") from exc
-    return constants_from_config(text)
-
-
-def _run_config_from_args(args) -> RunConfig:
-    return RunConfig(
-        constants=_load_constants(args.config),
-        out=args.out,
-        fmt=args.format,
-        paper_literal=args.paper_literal,
-        t_min=args.t_min,
-        t_max=args.t_max,
-        t_steps=args.t_steps,
-        z_steps=args.z_steps,
-        efermi_min_K=args.efermi_min_k,
-        efermi_max_K=args.efermi_max_k,
-    )
-
-
-def _execute(args, cfg: RunConfig) -> str:
-    if args.command == "eigen":
-        meta, columns, rows = cmd_eigen(cfg, args.n_max)
-    elif args.command == "fig1":
-        meta, columns, rows = cmd_fig1(cfg, args.parametric)
-    elif args.command == "fig2":
-        meta, columns, rows = cmd_fig2(cfg)
-    elif args.command == "fig3":
-        meta, columns, rows = cmd_fig3(cfg)
-    else:
-        payload = cmd_report(cfg, args.efermi_k, args.t)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    meta["format"] = cfg.fmt
-    return _render_table(cfg, meta, columns, rows)
+        return constants_from_config(config_path.read_text())
+    except (OSError, DomainError) as exc:
+        raise _UsageError(f"config {config_path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("a subcommand is required")
-        if args.command == "eigen" and not (1 <= args.n_max <= 1000):
-            raise _UsageError(f"--n-max must lie in 1..1000, got {args.n_max}")
-        if args.command == "report" and not (
-            np.isfinite(args.efermi_k) and args.efermi_k > 0.0
-        ):
-            raise _UsageError(f"--efermi-k must be positive, got {args.efermi_k!r}")
-        cfg = _run_config_from_args(args)
+        args = build_parser().parse_args(argv)
+        constants = _load_constants(args.config)
+        result = args.run(args, constants)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        text = _execute(args, cfg)
     except (DomainError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    if cfg.out is None:
+    if "format" in args:
+        grid, columns, rows = result
+        meta = {"command": args.command, "constants": _constants_meta(constants), "grid": grid}
+        if "paper_literal" in args:
+            meta["paper_literal"] = args.paper_literal
+        text = _render_table(args.format, meta, columns, rows)
+    else:  # report, always JSON
+        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+
+    if args.out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(cfg.out, "w", newline="") as handle:
+            with open(args.out, "w", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"cannot write {cfg.out}: {exc}", file=sys.stderr)
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     return EXIT_OK

@@ -15,8 +15,8 @@ import numpy as np
 
 from .constants import PhysicalConstants, default_constants
 from .errors import DomainError
-from .specfun import fermi_dirac
-from .thermo import GasSpec, eta_from_t
+from .specfun import FD_ETA_MAX, fermi_dirac
+from .thermo import TRAPPED, GasSpec, eta_from_t
 
 # default height grid: uniform to 1.5x the zero-T column, with an
 # exponentially spaced tail extension once k_B T is comparable to eps_F
@@ -52,6 +52,11 @@ def _check_height(z: float) -> float:
     return z
 
 
+def _zero_t_denominator(c: PhysicalConstants, paper_literal: bool) -> float:
+    # 3 pi^2 hbar^3 carries the spin factor 2, which paper_literal drops
+    return (6.0 if paper_literal else 3.0) * math.pi**2 * c.hbar**3
+
+
 def density(
     t: float,
     z: float,
@@ -62,17 +67,15 @@ def density(
 ) -> float:
     """Finite-temperature local density n(t, z) in m^-3.
 
-    n = (2 m k_B T)^(3/2) / (2 pi^2 hbar^3) * F_{1/2}(eta - m g z / k_B T),
-    spin factor included. Monotone nonincreasing in z.
+    n = n(0, 0) * density_ratio(t, m g z / eps_F)
+      = (2 m k_B T)^(3/2) / (2 pi^2 hbar^3) * F_{1/2}(eta - m g z / k_B T),
+    spin factor included. Monotone nonincreasing in z; decays to 0.0 far
+    above the column.
     """
     z = _check_height(z)
     c = constants if constants is not None else default_constants()
-    kT = t * spec.eps_F  # t validated inside eta_from_t
-    eta = eta_from_t(t)
-    coeff = (2.0 * c.m * kT) ** 1.5 / (2.0 * math.pi**2 * c.hbar**3)
-    if paper_literal:
-        coeff *= 0.5
-    return coeff * fermi_dirac(0.5, eta - c.m * c.g * z / kT)
+    n00 = density_zero_T(0.0, spec, c, paper_literal=paper_literal)
+    return n00 * density_ratio(t, c.m * c.g * z / spec.eps_F)
 
 
 def density_zero_T(
@@ -91,8 +94,7 @@ def density_zero_T(
     local = spec.eps_F - c.m * c.g * z
     if local <= 0.0:
         return 0.0
-    coeff = 3.0 * math.pi**2 if not paper_literal else 6.0 * math.pi**2
-    return (2.0 * c.m * local) ** 1.5 / (coeff * c.hbar**3)
+    return (2.0 * c.m * local) ** 1.5 / _zero_t_denominator(c, paper_literal)
 
 
 def density_ratio(t: float, mgz_over_ef: float) -> float:
@@ -100,12 +102,14 @@ def density_ratio(t: float, mgz_over_ef: float) -> float:
 
     Equals (3/2) t^(3/2) F_{1/2}(eta(t) - x/t); the spin factor cancels.
     At t -> 0 this approaches (1 - x)^(3/2) for x < 1 and zero above.
+    Where eta - x/t falls below -FD_ETA_MAX the integral has long since
+    underflowed, so the argument is clamped there and the ratio is 0.0.
     """
     x = float(mgz_over_ef)
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"m g z / eps_F must be nonnegative, got {x!r}")
-    eta = eta_from_t(t)
-    return 1.5 * t**1.5 * fermi_dirac(0.5, eta - x / t)
+    eta = eta_from_t(t, TRAPPED)
+    return 1.5 * t**1.5 * fermi_dirac(0.5, max(eta - x / t, -FD_ETA_MAX))
 
 
 def density_ratio_at_bottom(t: float) -> float:
@@ -142,8 +146,7 @@ def bottom_density_vs_fermi(
     temps = np.asarray(fermi_temperatures_K, dtype=float)
     if np.any(~np.isfinite(temps)) or np.any(temps <= 0.0):
         raise DomainError("Fermi temperatures must be positive and finite")
-    coeff = 3.0 * math.pi**2 if not paper_literal else 6.0 * math.pi**2
-    return (2.0 * c.m * c.kB * temps) ** 1.5 / (coeff * c.hbar**3)
+    return (2.0 * c.m * c.kB * temps) ** 1.5 / _zero_t_denominator(c, paper_literal)
 
 
 def profile(
@@ -163,6 +166,11 @@ def profile(
     return DensityProfile(t=float(t), zs=zs, ns=ns, eps_F=spec.eps_F)
 
 
+def _tail_points(n_points: int) -> int:
+    # points ratio_grid appends above the uniform span once t > 0.5
+    return max(n_points // 4, 8)
+
+
 def ratio_grid(t: float, n_points: int = 400) -> np.ndarray:
     """Grid in x = m g z / eps_F: uniform over [0, 1.5], plus a tail at high t.
 
@@ -177,7 +185,7 @@ def ratio_grid(t: float, n_points: int = 400) -> np.ndarray:
     base = np.linspace(0.0, _PROFILE_SPAN, n_points)
     if t <= _TAIL_ONSET_T:
         return base
-    n_tail = max(n_points // 4, 8)
+    n_tail = _tail_points(n_points)
     u = np.linspace(0.0, math.log(1.0 + _TAIL_DECADES), n_tail + 1)[1:]
     tail = _PROFILE_SPAN + t * (np.exp(u) - 1.0)
     return np.concatenate([base, tail])

@@ -44,12 +44,6 @@ def airy_ai_prime(x: float) -> float:
     return float(special.airy(_check_airy_domain(x))[1])
 
 
-def _airy_bi_and_prime(x: float) -> tuple[float, float]:
-    # validation helper (Wronskian checks); intentionally not exported
-    _, _, bi, bip = special.airy(_check_airy_domain(x))
-    return float(bi), float(bip)
-
-
 @dataclass(frozen=True)
 class AiryZero:
     """The ``index``-th negative zero of Ai, ordered by magnitude."""

@@ -3,7 +3,8 @@
 All bulk quantities reduce to functions of the single dimensionless
 temperature t = k_B T / eps_F once the Fermi energy is fixed, so the
 chemical potential and energy routines below carry no unit arguments.
-A free gas at the same Fermi energy is provided for comparison.
+The routines take the exponent s of the density of states g(E) ~ E^s:
+TRAPPED (3/2) for the column, FREE (1/2) for free space at the same eps_F.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ T_DIMLESS_MIN = 1.0e-4
 T_DIMLESS_MAX = 1.0e3
 _ETA_FLOOR = -60.0  # beta*eps_F is far below 1/T_DIMLESS_MAX here already
 
+TRAPPED = 1.5  # density-of-states exponent of the gravity-confined column
+FREE = 0.5  # free-space gas at the same Fermi energy
+
 
 @dataclass(frozen=True)
 class GasSpec:
@@ -30,7 +34,6 @@ class GasSpec:
     N: float  # particle count (> 0; real-valued to admit areal densities)
     L: float  # lateral wall size (m)
     eps_F: float  # Fermi energy (J), consistent with N and L
-    spin_degeneracy: int = 2
 
     @classmethod
     def from_particle_number(
@@ -49,8 +52,6 @@ class GasSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if self.spin_degeneracy != 2:
-            raise DomainError("only spin degeneracy 2 is supported")
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,12 @@ def particle_number(eps_F: float, L: float, constants: PhysicalConstants | None 
     )
 
 
-def beta_epsf_from_eta(eta: float) -> float:
+def beta_epsf_from_eta(eta: float, s: float = TRAPPED) -> float:
     """Reduced inverse temperature beta*eps_F fixed by particle number.
 
-    (beta eps_F)**(5/2) = (5/2) F_{3/2}(eta); monotone increasing in eta.
+    (beta eps_F)**(s+1) = (s+1) F_s(eta); monotone increasing in eta.
     """
-    return (2.5 * fermi_dirac(1.5, eta)) ** 0.4
+    return ((s + 1.0) * fermi_dirac(s, eta)) ** (1.0 / (s + 1.0))
 
 
 def _check_t(t: float) -> float:
@@ -103,12 +104,17 @@ def _check_t(t: float) -> float:
     return t
 
 
-def _solve_eta(target_beta_epsf: float, beta_epsf) -> float:
-    """Invert a monotone beta_epsf(eta) relation by bracketed root finding."""
+@lru_cache(maxsize=4096)
+def eta_from_t(t: float, s: float = TRAPPED) -> float:
+    """Reduced chemical potential eta = beta*mu at reduced temperature t.
+
+    Inverts beta_epsf_from_eta(eta, s) = 1/t by bracketed root finding.
+    """
+    target = 1.0 / _check_t(t)
     # mu < eps_F at any finite temperature, so the root sits below 1/t and
     # never reaches the integrals' |eta| cap
-    lo, hi = _ETA_FLOOR, min(target_beta_epsf + 1.0, FD_ETA_MAX)
-    f = lambda eta: beta_epsf(eta) - target_beta_epsf
+    lo, hi = _ETA_FLOOR, min(target + 1.0, FD_ETA_MAX)
+    f = lambda eta: beta_epsf_from_eta(eta, s) - target
     f_lo, f_hi = f(lo), f(hi)
     for _ in range(8):
         if f_lo < 0.0 <= f_hi:
@@ -122,22 +128,15 @@ def _solve_eta(target_beta_epsf: float, beta_epsf) -> float:
     else:
         raise NumericalError("could not bracket the chemical potential")
     eta = optimize.brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    residual = beta_epsf(eta) / target_beta_epsf - 1.0
+    residual = beta_epsf_from_eta(eta, s) / target - 1.0
     if abs(residual) > 1.0e-10:
         raise NumericalError(f"chemical potential solve left residual {residual:.2e}")
     return float(eta)
 
 
-@lru_cache(maxsize=4096)
-def eta_from_t(t: float) -> float:
-    """Reduced chemical potential eta = beta*mu at reduced temperature t."""
-    t = _check_t(t)
-    return _solve_eta(1.0 / t, beta_epsf_from_eta)
-
-
-def mu_over_ef(t: float) -> float:
+def mu_over_ef(t: float, s: float = TRAPPED) -> float:
     """Chemical potential over Fermi energy, mu/eps_F = t * eta(t)."""
-    return _check_t(t) * eta_from_t(t)
+    return _check_t(t) * eta_from_t(t, s)
 
 
 def mu_over_ef_sommerfeld(t: float, *, paper_literal: bool = False) -> float:
@@ -156,68 +155,35 @@ def mu_over_ef_sommerfeld(t: float, *, paper_literal: bool = False) -> float:
     return 1.0 - coeff * t * t
 
 
-def internal_energy(t: float) -> float:
+def _energy(t: float, eta: float, s: float) -> float:
+    return (s + 1.0) * t ** (s + 2.0) * fermi_dirac(s + 1.0, eta)
+
+
+def internal_energy(t: float, s: float = TRAPPED) -> float:
     """Internal energy per particle in Fermi-energy units, U/(N eps_F).
 
-    Equals (15/4) (beta eps_F)^(-7/2) [(2/5) F_{5/2}(eta) + D(eta)] where
-    D is the lateral-vertical cross term; D reduces exactly to
+    Equals (s+1) t^(s+2) F_{s+1}(eta). For the trapped gas this is
+    (15/4) (beta eps_F)^(-7/2) [(2/5) F_{5/2}(eta) + D(eta)], where D is
+    the lateral-vertical cross term; D reduces exactly to
     (4/15) F_{5/2}(eta), so the bracket collapses to (2/3) F_{5/2}(eta).
-    Limits: 5/7 as t -> 0 and (5/2) t in the classical regime.
+    Limits: (s+1)/(s+2) as t -> 0, which is 5/7 trapped and 3/5 free,
+    and (s+1) t in the classical regime.
     """
     t = _check_t(t)
-    return 2.5 * t**3.5 * fermi_dirac(2.5, eta_from_t(t))
+    return _energy(t, eta_from_t(t, s), s)
 
 
-def thermo_point(t: float) -> ThermoPoint:
+def thermo_point(t: float, s: float = TRAPPED) -> ThermoPoint:
     """Bundle eta, mu/eps_F and U/(N eps_F) at one reduced temperature."""
     t = _check_t(t)
-    eta = eta_from_t(t)
-    return ThermoPoint(
-        t=t,
-        eta=eta,
-        mu_over_ef=t * eta,
-        u_over_nef=2.5 * t**3.5 * fermi_dirac(2.5, eta),
-    )
+    eta = eta_from_t(t, s)
+    return ThermoPoint(t=t, eta=eta, mu_over_ef=t * eta, u_over_nef=_energy(t, eta, s))
 
 
-def thermo_point_from_eta(eta: float) -> ThermoPoint:
+def thermo_point_from_eta(eta: float, s: float = TRAPPED) -> ThermoPoint:
     """Parametric evaluation: sweep eta directly and derive t, no inversion."""
-    beta_epsf = beta_epsf_from_eta(eta)
+    beta_epsf = beta_epsf_from_eta(eta, s)
     if beta_epsf <= 0.0:
         raise DomainError(f"eta {eta!r} maps to a vanishing beta*eps_F")
     t = 1.0 / beta_epsf
-    return ThermoPoint(
-        t=t,
-        eta=float(eta),
-        mu_over_ef=t * eta,
-        u_over_nef=2.5 * t**3.5 * fermi_dirac(2.5, eta),
-    )
-
-
-# ---- free gas at the same Fermi energy ----
-
-
-def _free_beta_epsf_from_eta(eta: float) -> float:
-    # (beta eps_F)**(3/2) = (3/2) F_{1/2}(eta)
-    return (1.5 * fermi_dirac(0.5, eta)) ** (2.0 / 3.0)
-
-
-@lru_cache(maxsize=4096)
-def free_gas_eta_from_t(t: float) -> float:
-    """Reduced chemical potential of the free-space gas at the same eps_F."""
-    t = _check_t(t)
-    return _solve_eta(1.0 / t, _free_beta_epsf_from_eta)
-
-
-def free_gas_mu_over_ef(t: float) -> float:
-    """mu/eps_F for the free gas; low-t expansion 1 - (pi^2/12) t^2."""
-    return _check_t(t) * free_gas_eta_from_t(t)
-
-
-def free_gas_u_over_nef(t: float) -> float:
-    """U/(N eps_F) for the free gas: (3/2) t^(5/2) F_{3/2}(eta).
-
-    Limits: 3/5 as t -> 0 and (3/2) t in the classical regime.
-    """
-    t = _check_t(t)
-    return 1.5 * t**2.5 * fermi_dirac(1.5, free_gas_eta_from_t(t))
+    return ThermoPoint(t=t, eta=float(eta), mu_over_ef=t * eta, u_over_nef=_energy(t, eta, s))

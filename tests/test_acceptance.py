@@ -16,6 +16,7 @@ import pytest
 from scipy import integrate
 
 from ucngas import (
+    FREE,
     GasSpec,
     airy_zero,
     airy_zero_asymptotic,
@@ -32,8 +33,6 @@ from ucngas import (
     eigen_state,
     eta_from_t,
     fermi_dirac,
-    free_gas_mu_over_ef,
-    free_gas_u_over_nef,
     internal_energy,
     mu_over_ef,
     wavefunction,
@@ -97,7 +96,7 @@ def test_check_02_ground_state_energy():
 def test_check_03_chemical_potential_curvature():
     ts = np.linspace(0.01, 0.05, 9)
     drop = np.array([1.0 - mu_over_ef(t) for t in ts])
-    drop_free = np.array([1.0 - free_gas_mu_over_ef(t) for t in ts])
+    drop_free = np.array([1.0 - mu_over_ef(t, FREE) for t in ts])
     coeff = float(np.sum(drop * ts**2) / np.sum(ts**4))
     coeff_free = float(np.sum(drop_free * ts**2) / np.sum(ts**4))
     ratio = coeff / coeff_free
@@ -113,7 +112,7 @@ def test_check_03_chemical_potential_curvature():
 
 def test_check_04_zero_temperature_energy():
     u = internal_energy(1e-3)
-    u_free = free_gas_u_over_nef(1e-3)
+    u_free = internal_energy(1e-3, FREE)
     ok = abs(u - 5.0 / 7.0) <= 1e-4 and abs(u_free - 3.0 / 5.0) <= 1e-4
     _verdict(
         "check 04",
@@ -229,8 +228,8 @@ def test_fig1_curve_properties():
     ts = np.geomspace(0.01, 2.0, 12)
     mu = [mu_over_ef(t) for t in ts]
     u = [internal_energy(t) for t in ts]
-    mu_free = [free_gas_mu_over_ef(t) for t in ts]
-    u_free = [free_gas_u_over_nef(t) for t in ts]
+    mu_free = [mu_over_ef(t, FREE) for t in ts]
+    u_free = [internal_energy(t, FREE) for t in ts]
     ok = (
         all(b < a for a, b in zip(mu, mu[1:]))
         and all(b > a for a, b in zip(u, u[1:]))

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -38,14 +39,28 @@ def parse_csv(text):
 
 
 def test_exit_code_usage_errors():
-    assert run_process(["bogus"]).returncode == 1
-    assert run_process([]).returncode == 1
-    assert run_process(["eigen", "--n-max", "0"]).returncode == 1
-    assert run_process(["eigen", "--n-max", "1001"]).returncode == 1
-    assert run_process(["fig1", "--t-min", "2", "--t-max", "1"]).returncode == 1
-    assert run_process(["fig1", "--t-steps", "1"]).returncode == 1
-    assert run_process(["report", "--efermi-k", "-1"]).returncode == 1
-    assert run_process(["eigen", "--config", "/does/not/exist"]).returncode == 1
+    assert main(["bogus"]) == 1
+    assert main([]) == 1
+    assert main(["eigen", "--n-max", "0"]) == 1
+    assert main(["eigen", "--n-max", "1001"]) == 1
+    assert main(["fig1", "--t-min", "2", "--t-max", "1"]) == 1
+    assert main(["fig1", "--t-steps", "1"]) == 1
+    assert main(["report", "--efermi-k", "-1"]) == 1
+    assert main(["eigen", "--config", "/does/not/exist"]) == 1
+    # each subcommand accepts only the flags it reads
+    assert main(["eigen", "--t-steps", "3"]) == 1
+    assert main(["fig2", "--paper-literal"]) == 1
+    assert main(["report", "--efermi-k", "1e-3", "--format", "json"]) == 1
+
+
+def test_table_size_is_bounded(capsys):
+    start = time.perf_counter()
+    assert main(["fig2", "--z-steps", "100000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "--z-steps" in capsys.readouterr().err
+    assert main(["fig2", "--t-steps", "2000", "--z-steps", "1000"]) == 1
+    assert "--t-steps and --z-steps" in capsys.readouterr().err
+    assert main(["fig1", "--t-steps", "1000001"]) == 1
 
 
 def test_exit_code_numerical_failure_names_value():
@@ -138,6 +153,21 @@ def test_fig1_parametric_spans_the_grid(tmp_path):
     assert t[-1] == pytest.approx(2.0, rel=1e-9)
     assert t == sorted(t)
     assert mu == sorted(mu, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        ["--t-min", "1e-4", "--t-max", "1e3", "--t-steps", "100"],
+        ["--t-min", "0.3", "--t-max", "1e3"],
+    ],
+)
+def test_fig1_parametric_reaches_the_window_edges(tmp_path, window):
+    code, text = run_cli(["fig1", *window, "--parametric"], tmp_path)
+    assert code == 0
+    t = [float(row[0]) for row in parse_csv(text)[1]]
+    assert t[0] == float(window[1])
+    assert t[-1] == float(window[3])
 
 
 # ---- fig2 ----

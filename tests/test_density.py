@@ -82,6 +82,15 @@ def test_density_ratio_cold_limit():
     assert density_ratio(1e-4, 1.2) <= 1e-8  # above the zero-T column
 
 
+def test_density_decays_to_zero_above_the_column():
+    z_col = SPEC_1MK.eps_F / (C.m * C.g)
+    assert density(1e-3, 20.0, SPEC_1MK, C) == 0.0  # eta - m g z / kT is about -2.3e4
+    assert density_ratio(1e-3, 30.0) == 0.0
+    ns = [density(1e-3, frac * z_col, SPEC_1MK, C) for frac in np.linspace(0.9, 30.0, 60)]
+    assert all(b <= a for a, b in zip(ns, ns[1:]))
+    assert ns[0] > 0.0 and ns[-1] == 0.0
+
+
 def test_density_ratio_bottom_reference():
     assert density_ratio_at_bottom(0.1) == pytest.approx(0.9757320732627063, rel=1e-9)
     assert density_ratio_at_bottom(1e-4) == pytest.approx(1.0, abs=1e-7)

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import zeta
 
 from ucngas import (
+    FREE,
     DomainError,
     GasSpec,
     beta_epsf_from_eta,
@@ -14,8 +15,6 @@ from ucngas import (
     eta_from_t,
     fermi_dirac,
     fermi_energy,
-    free_gas_mu_over_ef,
-    free_gas_u_over_nef,
     internal_energy,
     mu_over_ef,
     mu_over_ef_sommerfeld,
@@ -56,8 +55,6 @@ def test_gas_spec_consistency():
     assert spec2.N == pytest.approx(1e20, rel=1e-10)
     with pytest.raises(DomainError):
         GasSpec(N=-1.0, L=1.0, eps_F=1e-30)
-    with pytest.raises(DomainError):
-        GasSpec(N=1.0, L=1.0, eps_F=1e-30, spin_degeneracy=1)
     with pytest.raises(DomainError):
         fermi_energy(0.0, 1.0)
 
@@ -160,43 +157,43 @@ def test_parametric_sweep_matches_inversion():
 
 
 def test_free_gas_degenerate_limits():
-    assert free_gas_mu_over_ef(1e-3) == pytest.approx(
+    assert mu_over_ef(1e-3, FREE) == pytest.approx(
         1.0 - math.pi**2 / 12.0 * 1e-6, abs=1e-8
     )
-    assert free_gas_u_over_nef(1e-3) == pytest.approx(0.6, abs=1e-5)
+    assert internal_energy(1e-3, FREE) == pytest.approx(0.6, abs=1e-5)
 
 
 def test_free_gas_expansion_bound():
     for t in (0.02, 0.05, 0.1):
         expected = 1.0 - math.pi**2 / 12.0 * t * t
-        assert abs(free_gas_mu_over_ef(t) - expected) <= 5.0 * t**4
+        assert abs(mu_over_ef(t, FREE) - expected) <= 5.0 * t**4
 
 
 def test_free_gas_classical_slope():
     # the free gas approaches u/t = 3/2 only as t^(-3/2), much slower than
     # the trapped gas, so check the limit together with its approach rate
-    dev_100 = abs(free_gas_u_over_nef(100.0) / 100.0 / 1.5 - 1.0)
-    dev_1000 = abs(free_gas_u_over_nef(1000.0) / 1000.0 / 1.5 - 1.0)
+    dev_100 = abs(internal_energy(100.0, FREE) / 100.0 / 1.5 - 1.0)
+    dev_1000 = abs(internal_energy(1000.0, FREE) / 1000.0 / 1.5 - 1.0)
     assert dev_100 < 2e-4
     assert dev_1000 < 1e-5
     assert dev_1000 < dev_100 / 25.0
     # trapped over free: (5/2) t vs (3/2) t
-    assert internal_energy(100.0) / free_gas_u_over_nef(100.0) == pytest.approx(
+    assert internal_energy(100.0) / internal_energy(100.0, FREE) == pytest.approx(
         5.0 / 3.0, rel=2e-4
     )
 
 
 def test_free_gas_monotonicity():
     grid = np.geomspace(1e-3, 10.0, 12)
-    mu = [free_gas_mu_over_ef(t) for t in grid]
-    u = [free_gas_u_over_nef(t) for t in grid]
+    mu = [mu_over_ef(t, FREE) for t in grid]
+    u = [internal_energy(t, FREE) for t in grid]
     assert all(b < a for a, b in zip(mu, mu[1:]))
     assert all(b > a for a, b in zip(u, u[1:]))
 
 
 def test_gravity_mu_below_free_mu():
     for t in (0.01, 0.1, 0.5, 2.0):
-        assert mu_over_ef(t) < free_gas_mu_over_ef(t)
+        assert mu_over_ef(t) < mu_over_ef(t, FREE)
 
 
 def test_number_closure_nested_quadrature():
