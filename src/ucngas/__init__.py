@@ -16,17 +16,13 @@ from .constants import (
     derive_scales,
 )
 from .density import (
-    DensityProfile,
     DilutenessReport,
     bottom_density_vs_fermi,
     density,
     density_ratio,
-    density_ratio_at_bottom,
     density_ratio_sommerfeld,
     density_zero_T,
     diluteness,
-    profile,
-    profile_heights,
     ratio_grid,
 )
 from .eigen import (
@@ -42,9 +38,6 @@ from .eigen import (
 )
 from .errors import DimensionMismatchError, DomainError, NumericalError
 from .specfun import (
-    AiryZero,
-    airy_ai,
-    airy_ai_prime,
     airy_zero,
     airy_zero_asymptotic,
     fermi_dirac,
@@ -70,9 +63,7 @@ from .thermo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryZero",
     "BoxSpec",
-    "DensityProfile",
     "DilutenessReport",
     "DimensionMismatchError",
     "DomainError",
@@ -84,8 +75,6 @@ __all__ = [
     "PhysicalConstants",
     "TRAPPED",
     "ThermoPoint",
-    "airy_ai",
-    "airy_ai_prime",
     "airy_zero",
     "airy_zero_asymptotic",
     "beta_epsf_from_eta",
@@ -97,7 +86,6 @@ __all__ = [
     "default_constants",
     "density",
     "density_ratio",
-    "density_ratio_at_bottom",
     "density_ratio_sommerfeld",
     "density_zero_T",
     "derive_scales",
@@ -113,8 +101,6 @@ __all__ = [
     "mu_over_ef",
     "mu_over_ef_sommerfeld",
     "particle_number",
-    "profile",
-    "profile_heights",
     "ratio_grid",
     "sommerfeld",
     "thermo_point",

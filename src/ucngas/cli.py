@@ -127,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_window(lo: float, hi: float, flags: str) -> None:
-    if not (0.0 < lo < hi):
-        raise _UsageError(f"need 0 < {flags}, got {lo!r} and {hi!r}")
+    if not (0.0 < lo < hi < np.inf):
+        raise _UsageError(f"need 0 < {flags} < inf, got {lo!r} and {hi!r}")
 
 
 def _fmt(value) -> str:

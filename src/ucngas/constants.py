@@ -65,12 +65,10 @@ def derive_scales(constants: PhysicalConstants | None = None) -> GravityScales:
     return GravityScales(alpha=alpha, e_g=c.m * c.g * l_g, l_g=l_g)
 
 
-# unit name -> (dimension, factor converting a value in that unit to SI).
-# Kelvin counts as an energy unit through k_B.
+# unit name -> (dimension, factor converting a value in that unit to SI)
 _UNIT_TABLE: dict[str, tuple[str, float]] = {
     "J": ("energy", 1.0),
     "peV": ("energy", 1.0e-12 * ELEMENTARY_CHARGE),
-    "K": ("energy", BOLTZMANN),
     "m": ("length", 1.0),
     "cm": ("length", 1.0e-2),
     "um": ("length", 1.0e-6),
@@ -82,7 +80,7 @@ _UNIT_TABLE: dict[str, tuple[str, float]] = {
 def convert(value: float, from_unit: str, to_unit: str) -> float:
     """Convert ``value`` between supported units of one dimension.
 
-    Supported units: J, peV, K (energy); m, cm, um (length);
+    Supported units: J, peV (energy); m, cm, um (length);
     m^-3, cm^-3 (number density). Mixed dimensions raise
     :class:`DimensionMismatchError`.
     """

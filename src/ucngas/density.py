@@ -26,16 +26,6 @@ _TAIL_DECADES = 8.0
 
 
 @dataclass(frozen=True)
-class DensityProfile:
-    """Density n(z) sampled on a height grid at one reduced temperature."""
-
-    t: float
-    zs: np.ndarray  # heights (m)
-    ns: np.ndarray  # number density (m^-3)
-    eps_F: float  # J
-
-
-@dataclass(frozen=True)
 class DilutenessReport:
     """Mean interparticle separation vs thermal de Broglie wavelength."""
 
@@ -112,24 +102,17 @@ def density_ratio(t: float, mgz_over_ef: float) -> float:
     return 1.5 * t**1.5 * fermi_dirac(0.5, max(eta - x / t, -FD_ETA_MAX))
 
 
-def density_ratio_at_bottom(t: float) -> float:
-    """Bottom density over its zero-temperature value, (3/2) t^(3/2) F_{1/2}(eta)."""
-    return density_ratio(t, 0.0)
-
-
-def density_ratio_sommerfeld(t: float, *, paper_literal: bool = False) -> float:
+def density_ratio_sommerfeld(t: float) -> float:
     """Low-temperature expansion of the bottom-density ratio.
 
     The expansion consistent with the exact integrals is 1 - (pi^2/4) t^2
-    (remainder below 5 t^4 for t <= 0.1). ``paper_literal`` selects the
-    widely quoted 1 - (5 pi^2/8) t^2 instead, whose t^2 coefficient is
-    2.5 times too large relative to the exact ratio.
+    (remainder below 5 t^4 for t <= 0.1). The widely quoted
+    1 - (5 pi^2/8) t^2 has a t^2 coefficient 2.5 times too large.
     """
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"reduced temperature must be nonnegative, got {t!r}")
-    coeff = 5.0 * math.pi**2 / 8.0 if paper_literal else math.pi**2 / 4.0
-    return 1.0 - coeff * t * t
+    return 1.0 - math.pi**2 / 4.0 * t * t
 
 
 def bottom_density_vs_fermi(
@@ -147,23 +130,6 @@ def bottom_density_vs_fermi(
     if np.any(~np.isfinite(temps)) or np.any(temps <= 0.0):
         raise DomainError("Fermi temperatures must be positive and finite")
     return (2.0 * c.m * c.kB * temps) ** 1.5 / _zero_t_denominator(c, paper_literal)
-
-
-def profile(
-    t: float,
-    spec: GasSpec,
-    constants: PhysicalConstants | None = None,
-    n_points: int = 400,
-    *,
-    paper_literal: bool = False,
-) -> DensityProfile:
-    """Sample the finite-temperature profile on the default height grid."""
-    if not (isinstance(n_points, int) and n_points >= 2):
-        raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
-    c = constants if constants is not None else default_constants()
-    zs = profile_heights(t, spec, c, n_points)
-    ns = np.array([density(t, z, spec, c, paper_literal=paper_literal) for z in zs])
-    return DensityProfile(t=float(t), zs=zs, ns=ns, eps_F=spec.eps_F)
 
 
 def _tail_points(n_points: int) -> int:
@@ -189,18 +155,6 @@ def ratio_grid(t: float, n_points: int = 400) -> np.ndarray:
     u = np.linspace(0.0, math.log(1.0 + _TAIL_DECADES), n_tail + 1)[1:]
     tail = _PROFILE_SPAN + t * (np.exp(u) - 1.0)
     return np.concatenate([base, tail])
-
-
-def profile_heights(
-    t: float,
-    spec: GasSpec,
-    constants: PhysicalConstants | None = None,
-    n_points: int = 400,
-) -> np.ndarray:
-    """Height grid (m) for profile(): ratio_grid scaled by eps_F/(m g)."""
-    c = constants if constants is not None else default_constants()
-    z_col = spec.eps_F / (c.m * c.g)
-    return z_col * ratio_grid(t, n_points)
 
 
 def diluteness(

@@ -14,7 +14,7 @@ from scipy import special
 
 from .constants import PhysicalConstants, default_constants, derive_scales
 from .errors import DomainError
-from .specfun import AiryZero, ZERO_INDEX_MAX, airy_zero, airy_zero_asymptotic
+from .specfun import ZERO_INDEX_MAX, airy_zero, airy_zero_asymptotic
 
 # Ai underflows double precision long before this; treat the tail as zero
 _AIRY_TAIL_CUT = 40.0
@@ -33,11 +33,11 @@ class BoxSpec:
 
 @dataclass(frozen=True)
 class EigenState:
-    """One vertical eigenstate: quantum number, energy, zero, and norm."""
+    """One vertical eigenstate: quantum number, energy, Airy zero a_n, and norm."""
 
     n_z: int
     energy: float  # J
-    zero: AiryZero
+    zero: float  # a_n < 0
     norm: float  # m^-1/2
 
 
@@ -50,7 +50,7 @@ def _check_index(n_z: int) -> int:
 def eigen_energy_exact(n_z: int, constants: PhysicalConstants | None = None) -> float:
     """Exact vertical eigenenergy e_g * |a_n| (J)."""
     scales = derive_scales(constants)
-    return scales.e_g * abs(airy_zero(_check_index(n_z)).value)
+    return scales.e_g * abs(airy_zero(_check_index(n_z)))
 
 
 def eigen_energy_asymptotic(n_z: int, constants: PhysicalConstants | None = None) -> float:
@@ -66,9 +66,9 @@ def eigen_state(n_z: int, constants: PhysicalConstants | None = None) -> EigenSt
     """Build the normalized vertical eigenstate for quantum number n_z."""
     zero = airy_zero(_check_index(n_z))
     scales = derive_scales(constants)
-    slope = float(special.airy(zero.value)[1])
+    slope = float(special.airy(zero)[1])
     norm = scales.alpha ** (1.0 / 6.0) / abs(slope)
-    return EigenState(n_z=n_z, energy=scales.e_g * abs(zero.value), zero=zero, norm=norm)
+    return EigenState(n_z=n_z, energy=scales.e_g * abs(zero), zero=zero, norm=norm)
 
 
 def wavefunction(state: EigenState, z, constants: PhysicalConstants | None = None):
@@ -82,7 +82,7 @@ def wavefunction(state: EigenState, z, constants: PhysicalConstants | None = Non
     z_arr = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(z_arr)) or np.any(z_arr < 0.0):
         raise DomainError("heights must be finite and nonnegative")
-    arg = scales.alpha ** (1.0 / 3.0) * z_arr + state.zero.value
+    arg = scales.alpha ** (1.0 / 3.0) * z_arr + state.zero
     safe = np.minimum(arg, _AIRY_TAIL_CUT)
     psi = state.norm * np.asarray(special.airy(safe)[0], dtype=float)
     psi = np.where(arg > _AIRY_TAIL_CUT, 0.0, psi)

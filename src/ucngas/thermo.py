@@ -111,26 +111,18 @@ def eta_from_t(t: float, s: float = TRAPPED) -> float:
     Inverts beta_epsf_from_eta(eta, s) = 1/t by bracketed root finding.
     """
     target = 1.0 / _check_t(t)
-    # mu < eps_F at any finite temperature, so the root sits below 1/t and
-    # never reaches the integrals' |eta| cap
-    lo, hi = _ETA_FLOOR, min(target + 1.0, FD_ETA_MAX)
+    # The bracket always holds the root, for every s in FD_ORDERS and t in
+    # [T_DIMLESS_MIN, T_DIMLESS_MAX]. At the top, F_s(eta) > eta^(s+1)/(s+1)
+    # for eta > 0, so beta*eps_F(hi) > hi >= 1/t; this also keeps hi inside
+    # the integrals' |eta| cap. At the bottom, beta*eps_F(_ETA_FLOOR) is
+    # about e^-24, far below 1/T_DIMLESS_MAX.
     f = lambda eta: beta_epsf_from_eta(eta, s) - target
-    f_lo, f_hi = f(lo), f(hi)
-    for _ in range(8):
-        if f_lo < 0.0 <= f_hi:
-            break
-        if f_lo >= 0.0:
-            lo -= 40.0
-            f_lo = f(lo)
-        if f_hi < 0.0:
-            hi = min(hi * 2.0, FD_ETA_MAX)
-            f_hi = f(hi)
-    else:
-        raise NumericalError("could not bracket the chemical potential")
-    eta = optimize.brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    eta = optimize.brentq(f, _ETA_FLOOR, min(target + 1.0, FD_ETA_MAX), xtol=1e-13, rtol=8.9e-16)
     residual = beta_epsf_from_eta(eta, s) / target - 1.0
     if abs(residual) > 1.0e-10:
-        raise NumericalError(f"chemical potential solve left residual {residual:.2e}")
+        raise NumericalError(
+            f"chemical potential solve at t={t!r}, s={s!r} left residual {residual:.2e}"
+        )
     return float(eta)
 
 
@@ -139,20 +131,18 @@ def mu_over_ef(t: float, s: float = TRAPPED) -> float:
     return _check_t(t) * eta_from_t(t, s)
 
 
-def mu_over_ef_sommerfeld(t: float, *, paper_literal: bool = False) -> float:
+def mu_over_ef_sommerfeld(t: float) -> float:
     """Low-temperature expansion of mu/eps_F.
 
     The expansion consistent with the exact integrals is
     1 - (pi^2/4) t^2; its curvature is 3 times the free-gas pi^2/12.
-    ``paper_literal`` selects the widely quoted variant 1 - (pi^2/2) t^2
-    instead (curvature ratio 6), which overstates the coefficient by a
-    factor of 2 relative to the exact solve.
+    The widely quoted 1 - (pi^2/2) t^2 (curvature ratio 6) overstates
+    the coefficient by a factor of 2.
     """
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"reduced temperature must be nonnegative, got {t!r}")
-    coeff = math.pi**2 / 2.0 if paper_literal else math.pi**2 / 4.0
-    return 1.0 - coeff * t * t
+    return 1.0 - math.pi**2 / 4.0 * t * t
 
 
 def _energy(t: float, eta: float, s: float) -> float:

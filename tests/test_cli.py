@@ -38,7 +38,7 @@ def parse_csv(text):
 # ---- exit codes ----
 
 
-def test_exit_code_usage_errors():
+def test_exit_code_usage_errors(capsys):
     assert main(["bogus"]) == 1
     assert main([]) == 1
     assert main(["eigen", "--n-max", "0"]) == 1
@@ -51,6 +51,11 @@ def test_exit_code_usage_errors():
     assert main(["eigen", "--t-steps", "3"]) == 1
     assert main(["fig2", "--paper-literal"]) == 1
     assert main(["report", "--efermi-k", "1e-3", "--format", "json"]) == 1
+    # a window must be finite; the message names the flag
+    for command, flag in (("fig1", "--t-max"), ("fig2", "--t-max"), ("fig3", "--efermi-max-k")):
+        capsys.readouterr()
+        assert main([command, flag, "inf"]) == 1
+        assert flag in capsys.readouterr().err
 
 
 def test_table_size_is_bounded(capsys):
@@ -168,6 +173,13 @@ def test_fig1_parametric_reaches_the_window_edges(tmp_path, window):
     t = [float(row[0]) for row in parse_csv(text)[1]]
     assert t[0] == float(window[1])
     assert t[-1] == float(window[3])
+
+
+def test_fig1_survives_quadpack_roundoff_warning(tmp_path):
+    # QUADPACK flags roundoff at this t although its error estimate is ~1e-13
+    args = ["fig1", "--t-min", "0.646427768866643", "--t-max", "2", "--t-steps", "2"]
+    code, _ = run_cli(args, tmp_path)
+    assert code == 0
 
 
 # ---- fig2 ----

@@ -14,12 +14,10 @@ from ucngas import (
     default_constants,
     density,
     density_ratio,
-    density_ratio_at_bottom,
     density_ratio_sommerfeld,
     density_zero_T,
     diluteness,
     eta_from_t,
-    profile,
     ratio_grid,
 )
 from oracles import column_number
@@ -92,8 +90,8 @@ def test_density_decays_to_zero_above_the_column():
 
 
 def test_density_ratio_bottom_reference():
-    assert density_ratio_at_bottom(0.1) == pytest.approx(0.9757320732627063, rel=1e-9)
-    assert density_ratio_at_bottom(1e-4) == pytest.approx(1.0, abs=1e-7)
+    assert density_ratio(0.1, 0.0) == pytest.approx(0.9757320732627063, rel=1e-9)
+    assert density_ratio(1e-4, 0.0) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_expansion_helper_values():
@@ -101,23 +99,20 @@ def test_expansion_helper_values():
     assert density_ratio_sommerfeld(0.05) == pytest.approx(
         1.0 - math.pi**2 / 4.0 * 0.0025, rel=1e-15
     )
-    assert density_ratio_sommerfeld(0.05, paper_literal=True) == pytest.approx(
-        0.984578, abs=1e-6
-    )
 
 
 def test_bottom_ratio_matches_expansion_to_fourth_order():
     for t in (0.02, 0.04, 0.06, 0.08, 0.1):
-        gap = abs(density_ratio_at_bottom(t) - density_ratio_sommerfeld(t))
+        gap = abs(density_ratio(t, 0.0) - density_ratio_sommerfeld(t))
         assert gap <= 5.0 * t**4
     # the remainder really is fourth order, not noise
-    assert abs(density_ratio_at_bottom(0.1) - density_ratio_sommerfeld(0.1)) >= 2.0 * 0.1**4
+    assert abs(density_ratio(0.1, 0.0) - density_ratio_sommerfeld(0.1)) >= 2.0 * 0.1**4
 
 
 def test_bottom_ratio_classical_decay():
     # classically the bottom ratio falls off as (2/5)/t
-    assert density_ratio_at_bottom(100.0) * 100.0 == pytest.approx(0.4, rel=1e-4)
-    ratio = density_ratio_at_bottom(200.0) / density_ratio_at_bottom(100.0)
+    assert density_ratio(100.0, 0.0) * 100.0 == pytest.approx(0.4, rel=1e-4)
+    ratio = density_ratio(200.0, 0.0) / density_ratio(100.0, 0.0)
     assert ratio == pytest.approx(0.5, rel=1e-4)
 
 
@@ -127,7 +122,7 @@ def test_barometric_deviation_law():
     eta = eta_from_t(t)
     assert eta <= -10.0
     bound = math.exp(eta) / 2.0**1.5
-    bottom = density_ratio_at_bottom(t)
+    bottom = density_ratio(t, 0.0)
     for u in (0.5, 2.0, 5.0, 20.0):
         deviation = abs(density_ratio(t, u * t) / bottom * math.exp(u) - 1.0)
         assert deviation <= 1.05 * bound * (1.0 - math.exp(-u))
@@ -136,21 +131,9 @@ def test_barometric_deviation_law():
 
 
 def test_profile_flattens_at_high_temperature():
-    cold = density_ratio(0.1, 0.5) / density_ratio_at_bottom(0.1)
-    hot = density_ratio(5.0, 0.5) / density_ratio_at_bottom(5.0)
+    cold = density_ratio(0.1, 0.5) / density_ratio(0.1, 0.0)
+    hot = density_ratio(5.0, 0.5) / density_ratio(5.0, 0.0)
     assert hot > cold
-
-
-def test_profile_object():
-    prof = profile(0.2, SPEC_1MK, C, n_points=50)
-    assert prof.t == 0.2
-    assert prof.eps_F == SPEC_1MK.eps_F
-    assert len(prof.zs) == 50
-    assert prof.zs[0] == 0.0
-    assert np.all(prof.ns >= 0.0)
-    assert np.all(np.diff(prof.ns) <= 0.0)  # non-increasing with height
-    hot = profile(1.0, SPEC_1MK, C, n_points=50)
-    assert len(hot.zs) == 50 + 12  # tail extension beyond t = 0.5
 
 
 def test_ratio_grid_layout():
@@ -163,6 +146,11 @@ def test_ratio_grid_layout():
     assert np.all(np.diff(hot) > 0.0)
     with pytest.raises(DomainError):
         ratio_grid(0.1, 1)
+    # the density on the grid's heights is nonnegative and non-increasing
+    z_col = SPEC_1MK.eps_F / (C.m * C.g)
+    ns = np.array([density(0.2, z_col * x, SPEC_1MK, C) for x in ratio_grid(0.2, 50)])
+    assert np.all(ns >= 0.0)
+    assert np.all(np.diff(ns) <= 0.0)
 
 
 def test_bottom_density_curve():

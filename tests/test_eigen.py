@@ -71,7 +71,7 @@ def test_state_normalization_constant():
     state = eigen_state(1)
     assert state.norm == pytest.approx(scales.alpha ** (1.0 / 6.0) / AIP_AT_A1, rel=1e-12)
     assert state.energy == pytest.approx(eigen_energy_exact(1), rel=1e-14)
-    assert state.zero.index == 1
+    assert state.n_z == 1
 
 
 def test_wavefunction_vanishes_at_floor():
@@ -129,7 +129,7 @@ def test_virial_ratio():
     for n in (1, 2, 5, 10):
         state = eigen_state(n)
         breaks = [
-            (airy_zero(k).value - airy_zero(n).value) * scales.l_g
+            (airy_zero(k) - airy_zero(n)) * scales.l_g
             for k in range(1, n)
         ]
         breaks.append(classical_turning_point(state))
@@ -204,7 +204,7 @@ def test_turning_point():
     scales = derive_scales(c)
     state = eigen_state(1)
     assert classical_turning_point(state) == pytest.approx(
-        abs(state.zero.value) * scales.l_g, rel=1e-12
+        abs(state.zero) * scales.l_g, rel=1e-12
     )
     assert classical_turning_point(state) == pytest.approx(
         state.energy / (c.m * c.g), rel=1e-15

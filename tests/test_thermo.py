@@ -8,6 +8,7 @@ from scipy.special import zeta
 
 from ucngas import (
     FREE,
+    NumericalError,
     DomainError,
     GasSpec,
     beta_epsf_from_eta,
@@ -22,6 +23,9 @@ from ucngas import (
     thermo_point,
     thermo_point_from_eta,
 )
+from ucngas import thermo
+from ucngas.specfun import FD_ETA_MAX, FD_ORDERS
+from ucngas.thermo import _ETA_FLOOR, T_DIMLESS_MAX, T_DIMLESS_MIN
 from oracles import nested_number_term
 
 BETA_EF_AT_ETA0 = 1.5271375952969733
@@ -86,6 +90,21 @@ def test_eta_solver_residual():
         assert beta_epsf_from_eta(eta_from_t(t)) * t == pytest.approx(1.0, rel=1e-10)
 
 
+def test_eta_bracket_holds_the_root_across_the_window():
+    # eta_from_t hands brentq this bracket unwidened, for every order
+    for s in FD_ORDERS:
+        for t in (T_DIMLESS_MIN, T_DIMLESS_MAX):
+            hi = min(1.0 / t + 1.0, FD_ETA_MAX)
+            assert beta_epsf_from_eta(_ETA_FLOOR, s) < 1.0 / t <= beta_epsf_from_eta(hi, s)
+
+
+def test_eta_residual_error_names_t_and_s(monkeypatch):
+    monkeypatch.setattr(thermo.optimize, "brentq", lambda *args, **kwargs: 0.0)
+    eta_from_t.cache_clear()
+    with pytest.raises(NumericalError, match=r"t=0\.123, s=0\.5"):
+        eta_from_t(0.123, FREE)
+
+
 def test_eta_maxwell_tail():
     for t in (100.0, 1000.0):
         assert math.exp(eta_from_t(t)) * t**2.5 == pytest.approx(MAXWELL_TAIL, rel=1e-4)
@@ -112,7 +131,6 @@ def test_mu_strictly_decreasing():
 def test_mu_expansion_helper():
     assert mu_over_ef_sommerfeld(0.0) == 1.0
     assert mu_over_ef_sommerfeld(0.1) == pytest.approx(1.0 - math.pi**2 / 4.0 * 0.01, rel=1e-15)
-    assert mu_over_ef_sommerfeld(0.1, paper_literal=True) == pytest.approx(0.950652, abs=1e-6)
 
 
 def test_mu_matches_expansion_to_fourth_order():
