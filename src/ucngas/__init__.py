@@ -2,7 +2,7 @@
 
 Single-particle eigenstates are Airy functions; the library exposes
 exact and asymptotic level energies, Fermi-Dirac integrals good to
-1e-10 relative accuracy, finite-temperature thermodynamics of the
+1e-13 relative accuracy, finite-temperature thermodynamics of the
 gravity-confined column, density profiles, and a CLI that renders
 figure data as CSV/JSON tables.
 """

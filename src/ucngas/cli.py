@@ -39,8 +39,6 @@ from .thermo import (
     TRAPPED,
     GasSpec,
     eta_from_t,
-    internal_energy,
-    mu_over_ef,
     thermo_point,
     thermo_point_from_eta,
 )
@@ -131,6 +129,17 @@ def _check_window(lo: float, hi: float, flags: str) -> None:
         raise _UsageError(f"need 0 < {flags} < inf, got {lo!r} and {hi!r}")
 
 
+def _check_t_flag(flag: str, t: float) -> None:
+    if not (T_DIMLESS_MIN <= t <= T_DIMLESS_MAX):
+        raise _UsageError(f"{flag} must lie in [{T_DIMLESS_MIN}, {T_DIMLESS_MAX}], got {t!r}")
+
+
+def _check_t_window(args) -> None:
+    _check_window(args.t_min, args.t_max, "--t-min < --t-max")
+    _check_t_flag("--t-min", args.t_min)
+    _check_t_flag("--t-max", args.t_max)
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
@@ -171,34 +180,34 @@ def cmd_eigen(args, constants: PhysicalConstants) -> tuple[dict, list[str], list
 
 def cmd_fig1(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
     """Chemical potential and internal energy sweep with free-gas columns."""
-    _check_window(args.t_min, args.t_max, "--t-min < --t-max")
+    _check_t_window(args)
     columns = ["t", "mu_over_ef", "u_over_nef", "mu_free_over_ef", "u_free_over_nef"]
     if args.parametric:
         eta_hi = eta_from_t(args.t_min, TRAPPED)
         eta_lo = eta_from_t(args.t_max, TRAPPED)
-        points = [thermo_point_from_eta(e) for e in np.linspace(eta_hi, eta_lo, args.t_steps)]
+        gas = thermo_point_from_eta(np.linspace(eta_hi, eta_lo, args.t_steps))
     else:
-        points = [thermo_point(t) for t in np.geomspace(args.t_min, args.t_max, args.t_steps)]
-    rows = []
-    for p in points:
-        # the eta -> t round trip can overshoot the solver's range by a rounding error
-        t = min(max(p.t, T_DIMLESS_MIN), T_DIMLESS_MAX)
-        rows.append((t, p.mu_over_ef, p.u_over_nef, mu_over_ef(t, FREE), internal_energy(t, FREE)))
+        gas = thermo_point(np.geomspace(args.t_min, args.t_max, args.t_steps))
+    # the eta -> t round trip can overshoot the solver's range by a rounding error
+    t = np.clip(gas.t, T_DIMLESS_MIN, T_DIMLESS_MAX)
+    free = thermo_point(t, FREE)
+    columns_data = (t, gas.mu_over_ef, gas.u_over_nef, free.mu_over_ef, free.u_over_nef)
+    rows = np.column_stack(columns_data).tolist()
     grid = {name: getattr(args, name) for name in ("t_min", "t_max", "t_steps", "parametric")}
     return grid, columns, rows
 
 
 def cmd_fig2(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
     """Long-format table of n(t,z)/n(0,0) over a t grid and a height grid."""
-    _check_window(args.t_min, args.t_max, "--t-min < --t-max")
+    _check_t_window(args)
     n_rows = args.t_steps * (args.z_steps + _tail_points(args.z_steps))
     if n_rows > MAX_ROWS:
         raise _UsageError(f"--t-steps and --z-steps ask for {n_rows} rows, more than {MAX_ROWS}")
     columns = ["t", "mgz_over_ef", "n_over_n00"]
     rows = []
-    for t in np.geomspace(args.t_min, args.t_max, args.t_steps):
-        for x in ratio_grid(t, args.z_steps):
-            rows.append((float(t), float(x), density_ratio(t, x)))
+    for t in np.geomspace(args.t_min, args.t_max, args.t_steps).tolist():
+        x = ratio_grid(t, args.z_steps)
+        rows.extend(zip([t] * x.size, x.tolist(), density_ratio(t, x).tolist()))
     grid = {name: getattr(args, name) for name in ("t_min", "t_max", "t_steps", "z_steps")}
     return grid, columns, rows
 
@@ -208,7 +217,10 @@ def cmd_fig3(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[
     _check_window(args.efermi_min_k, args.efermi_max_k, "--efermi-min-k < --efermi-max-k")
     columns = ["efermi_K", "n0_cm3"]
     temps = np.geomspace(args.efermi_min_k, args.efermi_max_k, args.t_steps)
-    values = bottom_density_vs_fermi(temps, constants, paper_literal=args.paper_literal)
+    try:
+        values = bottom_density_vs_fermi(temps, constants, paper_literal=args.paper_literal)
+    except DomainError as exc:  # the window is positive and finite, so this is overflow
+        raise _UsageError(f"--efermi-max-k is too large: {exc}") from exc
     rows = [(float(T), convert(float(n), "m^-3", "cm^-3")) for T, n in zip(temps, values)]
     grid = {
         "efermi_min_K": args.efermi_min_k,
@@ -228,6 +240,7 @@ def cmd_report(args, constants: PhysicalConstants) -> dict:
     efermi_K, t, c = args.efermi_k, args.t, constants
     if not (np.isfinite(efermi_K) and efermi_K > 0.0):
         raise _UsageError(f"--efermi-k must be positive, got {efermi_K!r}")
+    _check_t_flag("--t", t)
     spec = GasSpec.from_fermi_energy(efermi_K * c.kB, L=1.0, constants=c)
     n0 = density(t, 0.0, spec, c, paper_literal=args.paper_literal)
     dil = diluteness(n0, efermi_K, c)

@@ -16,7 +16,7 @@ import numpy as np
 from .constants import PhysicalConstants, default_constants
 from .errors import DomainError
 from .specfun import FD_ETA_MAX, fermi_dirac
-from .thermo import TRAPPED, GasSpec, eta_from_t
+from .thermo import TRAPPED, GasSpec, _check_t, _eta
 
 # default height grid: uniform to 1.5x the zero-T column, with an
 # exponentially spaced tail extension once k_B T is comparable to eps_F
@@ -87,19 +87,23 @@ def density_zero_T(
     return (2.0 * c.m * local) ** 1.5 / _zero_t_denominator(c, paper_literal)
 
 
-def density_ratio(t: float, mgz_over_ef: float) -> float:
+def density_ratio(t, mgz_over_ef):
     """Dimensionless profile n(t, z) / n(0, 0) against x = m g z / eps_F.
 
     Equals (3/2) t^(3/2) F_{1/2}(eta(t) - x/t); the spin factor cancels.
     At t -> 0 this approaches (1 - x)^(3/2) for x < 1 and zero above.
     Where eta - x/t falls below -FD_ETA_MAX the integral has long since
     underflowed, so the argument is clamped there and the ratio is 0.0.
+    t and x may be scalars or arrays that broadcast together; a scalar t
+    with an array of x is one eta solve and one batched F_{1/2} call.
     """
-    x = float(mgz_over_ef)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"m g z / eps_F must be nonnegative, got {x!r}")
-    eta = eta_from_t(t, TRAPPED)
-    return 1.5 * t**1.5 * fermi_dirac(0.5, max(eta - x / t, -FD_ETA_MAX))
+    x = np.asarray(mgz_over_ef, dtype=float)
+    bad = ~((x >= 0.0) & np.isfinite(x))
+    if bad.any():
+        raise DomainError(f"m g z / eps_F must be nonnegative, got {float(x[bad].flat[0])!r}")
+    t = _check_t(t)
+    eta = np.maximum(_eta(t, TRAPPED) - x / t, -FD_ETA_MAX)
+    return 1.5 * np.power(t, 1.5) * fermi_dirac(0.5, eta)
 
 
 def density_ratio_sommerfeld(t: float) -> float:
@@ -129,7 +133,14 @@ def bottom_density_vs_fermi(
     temps = np.asarray(fermi_temperatures_K, dtype=float)
     if np.any(~np.isfinite(temps)) or np.any(temps <= 0.0):
         raise DomainError("Fermi temperatures must be positive and finite")
-    return (2.0 * c.m * c.kB * temps) ** 1.5 / _zero_t_denominator(c, paper_literal)
+    with np.errstate(over="ignore"):
+        n0 = (2.0 * c.m * c.kB * temps) ** 1.5 / _zero_t_denominator(c, paper_literal)
+    overflow = ~np.isfinite(n0)
+    if overflow.any():
+        raise DomainError(
+            f"Fermi temperature {float(temps[overflow].flat[0])!r} K overflows the bottom density"
+        )
+    return n0
 
 
 def _tail_points(n_points: int) -> int:
@@ -177,5 +188,5 @@ def diluteness(
         density=n,
         mean_separation=separation,
         thermal_wavelength=wavelength,
-        degenerate=separation <= wavelength,
+        degenerate=bool(separation <= wavelength),
     )

@@ -13,15 +13,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import optimize
+import numpy as np
 
 from .constants import PhysicalConstants, default_constants
 from .errors import DomainError, NumericalError
-from .specfun import FD_ETA_MAX, fermi_dirac
+from .specfun import FD_ETA_MAX, FD_ORDERS, fermi_dirac
 
 T_DIMLESS_MIN = 1.0e-4
 T_DIMLESS_MAX = 1.0e3
 _ETA_FLOOR = -60.0  # beta*eps_F is far below 1/T_DIMLESS_MAX here already
+# Newton stops once a step is this small relative to max(|eta|, 1); the
+# convergence is quadratic by then, so the step taken leaves eta exact to
+# rounding. The cap is far above the iterations any t in the window takes.
+_NEWTON_TOL = 1.0e-12
+_NEWTON_MAX_ITER = 60
 
 TRAPPED = 1.5  # density-of-states exponent of the gravity-confined column
 FREE = 0.5  # free-space gas at the same Fermi energy
@@ -56,7 +61,10 @@ class GasSpec:
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """State of the gas at one reduced temperature t = k_B T / eps_F."""
+    """State of the gas at a reduced temperature t = k_B T / eps_F.
+
+    The fields are floats for one t and arrays of one shape for an array.
+    """
 
     t: float
     eta: float  # beta * mu
@@ -87,48 +95,98 @@ def particle_number(eps_F: float, L: float, constants: PhysicalConstants | None 
     )
 
 
-def beta_epsf_from_eta(eta: float, s: float = TRAPPED) -> float:
+def beta_epsf_from_eta(eta, s: float = TRAPPED):
     """Reduced inverse temperature beta*eps_F fixed by particle number.
 
     (beta eps_F)**(s+1) = (s+1) F_s(eta); monotone increasing in eta.
+    Takes a scalar or an array of eta.
     """
-    return ((s + 1.0) * fermi_dirac(s, eta)) ** (1.0 / (s + 1.0))
+    return np.power((s + 1.0) * fermi_dirac(s, eta), 1.0 / (s + 1.0))
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and T_DIMLESS_MIN <= t <= T_DIMLESS_MAX):
+def _check_t(t):
+    """t as a float, or as a float array for an array; each must lie in the window."""
+    values = np.asarray(t, dtype=float)
+    bad = ~((values >= T_DIMLESS_MIN) & (values <= T_DIMLESS_MAX))
+    if bad.any():
         raise DomainError(
-            f"reduced temperature must lie in [{T_DIMLESS_MIN}, {T_DIMLESS_MAX}], got {t!r}"
+            f"reduced temperature must lie in [{T_DIMLESS_MIN}, {T_DIMLESS_MAX}], "
+            f"got {float(values[bad].flat[0])!r}"
         )
-    return t
+    return float(values) if values.ndim == 0 else values
+
+
+def _solve_eta(t: np.ndarray, s: float) -> np.ndarray:
+    """eta at every t of a 1-D array, by one safeguarded Newton solve.
+
+    Solves g(eta) = ln((s+1) F_s(eta)) + (s+1) ln t = 0, whose slope is
+    s F_{s-1}(eta) / F_s(eta). Each t keeps a bracket, which always holds
+    the root for s in {1/2, 3/2, 5/2} and t in [T_DIMLESS_MIN, T_DIMLESS_MAX]:
+    at the top F_s(eta) > eta^(s+1)/(s+1) for eta > 0, so beta*eps_F(hi) >
+    hi >= 1/t, which also keeps hi inside the integrals' |eta| cap; at the
+    bottom beta*eps_F(_ETA_FLOOR) is about e^-24, far below 1/T_DIMLESS_MAX.
+    A step that leaves the bracket becomes a bisection. Every element
+    follows its own iterates, so a t gives the same bits alone or in an
+    array.
+    """
+    if not (s in FD_ORDERS and s - 1.0 in FD_ORDERS):
+        raise DomainError(f"the eta solve needs F_s and F_(s-1) in {FD_ORDERS}, got s={s!r}")
+    target = -(s + 1.0) * np.log(t)
+    lo = np.full_like(t, _ETA_FLOOR)
+    hi = np.minimum(1.0 / t + 1.0, FD_ETA_MAX)
+    # the larger of the Maxwell estimate, a lower bound on the root, and
+    # the two-term degenerate one; either is good where it is the larger
+    eta = np.maximum(-math.lgamma(s + 2.0) + target, 1.0 / t - math.pi**2 / 6.0 * s * t)
+    eta = np.clip(eta, lo, hi)
+    active = np.arange(t.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        x = eta[active]
+        f = fermi_dirac(s, x)
+        g = np.log((s + 1.0) * f) - target[active]
+        lo[active] = np.where(g < 0.0, x, lo[active])
+        hi[active] = np.where(g > 0.0, x, hi[active])
+        step = g * f / (s * fermi_dirac(s - 1.0, x))
+        new = x - step
+        outside = ~((new >= lo[active]) & (new <= hi[active]))
+        new[outside] = 0.5 * (lo[active] + hi[active])[outside]
+        eta[active] = new
+        done = ~outside & (np.abs(step) <= _NEWTON_TOL * np.maximum(np.abs(x), 1.0))
+        active = active[~done]
+        if active.size == 0:
+            break
+    residual = beta_epsf_from_eta(eta, s) * t - 1.0
+    bad = ~(np.abs(residual) <= 1.0e-10)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise NumericalError(
+            f"chemical potential solve at t={float(t[k])!r}, s={s!r} left residual "
+            f"{residual[k]:.2e}"
+        )
+    return eta
 
 
 @lru_cache(maxsize=4096)
 def eta_from_t(t: float, s: float = TRAPPED) -> float:
     """Reduced chemical potential eta = beta*mu at reduced temperature t.
 
-    Inverts beta_epsf_from_eta(eta, s) = 1/t by bracketed root finding.
+    Inverts beta_epsf_from_eta(eta, s) = 1/t; the cached scalar face of
+    the vector solve every array of t goes through.
     """
-    target = 1.0 / _check_t(t)
-    # The bracket always holds the root, for every s in FD_ORDERS and t in
-    # [T_DIMLESS_MIN, T_DIMLESS_MAX]. At the top, F_s(eta) > eta^(s+1)/(s+1)
-    # for eta > 0, so beta*eps_F(hi) > hi >= 1/t; this also keeps hi inside
-    # the integrals' |eta| cap. At the bottom, beta*eps_F(_ETA_FLOOR) is
-    # about e^-24, far below 1/T_DIMLESS_MAX.
-    f = lambda eta: beta_epsf_from_eta(eta, s) - target
-    eta = optimize.brentq(f, _ETA_FLOOR, min(target + 1.0, FD_ETA_MAX), xtol=1e-13, rtol=8.9e-16)
-    residual = beta_epsf_from_eta(eta, s) / target - 1.0
-    if abs(residual) > 1.0e-10:
-        raise NumericalError(
-            f"chemical potential solve at t={t!r}, s={s!r} left residual {residual:.2e}"
-        )
-    return float(eta)
+    return float(_solve_eta(np.array([_check_t(t)]), s)[0])
 
 
-def mu_over_ef(t: float, s: float = TRAPPED) -> float:
-    """Chemical potential over Fermi energy, mu/eps_F = t * eta(t)."""
-    return _check_t(t) * eta_from_t(t, s)
+def _eta(t, s: float):
+    # a scalar t goes through the cache, an array through one vector solve
+    return eta_from_t(t, s) if np.ndim(t) == 0 else _solve_eta(t.ravel(), s).reshape(t.shape)
+
+
+def mu_over_ef(t, s: float = TRAPPED):
+    """Chemical potential over Fermi energy, mu/eps_F = t * eta(t).
+
+    Takes a scalar or an array of t.
+    """
+    t = _check_t(t)
+    return t * _eta(t, s)
 
 
 def mu_over_ef_sommerfeld(t: float) -> float:
@@ -145,11 +203,13 @@ def mu_over_ef_sommerfeld(t: float) -> float:
     return 1.0 - math.pi**2 / 4.0 * t * t
 
 
-def _energy(t: float, eta: float, s: float) -> float:
-    return (s + 1.0) * t ** (s + 2.0) * fermi_dirac(s + 1.0, eta)
+def _energy(t, eta, s: float):
+    # np.power, not **: a float's ** calls the C library, an array's numpy's
+    # own vector pow, and the two differ in the last bit
+    return (s + 1.0) * np.power(t, s + 2.0) * fermi_dirac(s + 1.0, eta)
 
 
-def internal_energy(t: float, s: float = TRAPPED) -> float:
+def internal_energy(t, s: float = TRAPPED):
     """Internal energy per particle in Fermi-energy units, U/(N eps_F).
 
     Equals (s+1) t^(s+2) F_{s+1}(eta). For the trapped gas this is
@@ -157,23 +217,26 @@ def internal_energy(t: float, s: float = TRAPPED) -> float:
     the lateral-vertical cross term; D reduces exactly to
     (4/15) F_{5/2}(eta), so the bracket collapses to (2/3) F_{5/2}(eta).
     Limits: (s+1)/(s+2) as t -> 0, which is 5/7 trapped and 3/5 free,
-    and (s+1) t in the classical regime.
+    and (s+1) t in the classical regime. Takes a scalar or an array of t.
     """
     t = _check_t(t)
-    return _energy(t, eta_from_t(t, s), s)
+    return _energy(t, _eta(t, s), s)
 
 
-def thermo_point(t: float, s: float = TRAPPED) -> ThermoPoint:
-    """Bundle eta, mu/eps_F and U/(N eps_F) at one reduced temperature."""
+def thermo_point(t, s: float = TRAPPED) -> ThermoPoint:
+    """Bundle eta, mu/eps_F and U/(N eps_F); fields are arrays for an array of t."""
     t = _check_t(t)
-    eta = eta_from_t(t, s)
+    eta = _eta(t, s)
     return ThermoPoint(t=t, eta=eta, mu_over_ef=t * eta, u_over_nef=_energy(t, eta, s))
 
 
-def thermo_point_from_eta(eta: float, s: float = TRAPPED) -> ThermoPoint:
-    """Parametric evaluation: sweep eta directly and derive t, no inversion."""
+def thermo_point_from_eta(eta, s: float = TRAPPED) -> ThermoPoint:
+    """Parametric evaluation: sweep eta directly and derive t, no inversion.
+
+    Takes a scalar or an array of eta, like :func:`thermo_point`.
+    """
     beta_epsf = beta_epsf_from_eta(eta, s)
-    if beta_epsf <= 0.0:
-        raise DomainError(f"eta {eta!r} maps to a vanishing beta*eps_F")
+    if np.any(beta_epsf <= 0.0):  # F_s underflows first at the lowest eta
+        raise DomainError(f"eta {float(np.min(eta))!r} maps to a vanishing beta*eps_F")
     t = 1.0 / beta_epsf
-    return ThermoPoint(t=t, eta=float(eta), mu_over_ef=t * eta, u_over_nef=_energy(t, eta, s))
+    return ThermoPoint(t=t, eta=eta, mu_over_ef=t * eta, u_over_nef=_energy(t, eta, s))

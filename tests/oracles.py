@@ -46,6 +46,37 @@ def _quad(func, a, b):
     value, _ = integrate.quad(func, a, b, epsabs=1e-300, epsrel=1e-11, limit=400)
     return value
 
+
+def fermi_dirac_quad(j: float, eta: float) -> float:
+    """F_j(eta) for one eta by adaptive QUADPACK quadrature, split at max(eta, 0).
+
+    Below the split the integrand is z^j / (e^(z - eta) + 1); above it the
+    substitution u = exp(-(z - eta)) maps the unbounded part onto a finite
+    interval. QUADPACK can flag roundoff at points where its own relative
+    error estimate is ~1e-13, so only an estimate above 1e-11 is a failure.
+    Meant for j >= 1/2: for j = -1/2 the endpoint singularity of the upper
+    part defeats the extrapolation far in the Maxwell regime.
+    """
+
+    def part(func, a, b):
+        value, abserr, _info, *message = integrate.quad(
+            func, a, b, epsabs=0.0, epsrel=1e-12, limit=400, full_output=1
+        )
+        if not abserr <= 1e-11 * abs(value):
+            reason = f": {message[0]}" if message else ""
+            raise ArithmeticError(
+                f"F_{j}({eta!r}) quadrature on [{a}, {b}] has relative error "
+                f"estimate {abserr / abs(value):.1e}{reason}"
+            )
+        return value
+
+    total = 0.0
+    if eta > 0.0:
+        total += part(lambda z: z**j * _fermi_kernel(z - eta), 0.0, eta)
+    u_top = math.exp(min(eta, 0.0))
+    total += part(lambda u: (eta - math.log(u)) ** j / (1.0 + u), 0.0, u_top)
+    return total
+
 def nested_cross_term(eta: float) -> float:
     """Nested quadrature of the 2-D integral with kernel z^(1/2) * v."""
     v_span = lambda z: max(eta - z, 0.0) + 45.0

@@ -36,6 +36,7 @@ from ucngas import (
     fermi_dirac,
     internal_energy,
     mu_over_ef,
+    ratio_grid,
     wavefunction,
 )
 from ucngas.cli import main
@@ -287,6 +288,33 @@ def test_fig3_curve_properties():
     slopes = np.diff(np.log(values)) / np.diff(np.log(temps))
     ok = bool(np.all(np.abs(slopes - 1.5) <= 1e-9))
     _verdict("fig3", ok, f"log-log slope {slopes.mean():.12f} (target 3/2)")
+
+
+# every row of golden/fig2.csv that the batched F_j engine moved, each in its
+# 12th digit: (index into the t grid, index into that t's height grid, old value)
+FIG2_GOLDEN_MOVED = [(1, 6, "6.39484309130e-03")]
+
+
+def test_golden_fig2_rows_moved_toward_mpmath():
+    mp = pytest.importorskip("mpmath")
+    from oracles import eta_from_t_mp, fermi_dirac_mp
+
+    rows = (GOLDEN_DIR / "fig2.csv").read_text().splitlines()[1:]
+    ts = np.geomspace(0.01, 2.0, 3)
+    grids = [ratio_grid(t, 8) for t in ts]
+    for ti, xi, before in FIG2_GOLDEN_MOVED:
+        t, x = float(ts[ti]), float(grids[ti][xi])
+        stored = rows[sum(len(g) for g in grids[:ti]) + xi].split(",")
+        assert stored[:2] == [f"{t:.11e}", f"{x:.11e}"]
+        with mp.workdps(40):
+            eta = eta_from_t_mp(t, 1.5) - mp.mpf(x) / t
+            exact = 1.5 * mp.mpf(t) ** 1.5 * fermi_dirac_mp(0.5, eta)
+            ok = abs(mp.mpf(stored[2]) - exact) < abs(mp.mpf(before) - exact)
+        _verdict(
+            "golden fig2 row",
+            ok,
+            f"t={t:.6g}, x={x:.6g}: {before} -> {stored[2]}, mpmath {mp.nstr(exact, 15)}",
+        )
 
 
 @pytest.mark.parametrize("name,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from ucngas import thermo
 from ucngas.cli import main
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -51,11 +52,22 @@ def test_exit_code_usage_errors(capsys):
     assert main(["eigen", "--t-steps", "3"]) == 1
     assert main(["fig2", "--paper-literal"]) == 1
     assert main(["report", "--efermi-k", "1e-3", "--format", "json"]) == 1
-    # a window must be finite; the message names the flag
-    for command, flag in (("fig1", "--t-max"), ("fig2", "--t-max"), ("fig3", "--efermi-max-k")):
+    # a window must be finite, a reduced temperature must lie in the solver's
+    # window, and fig3 must not overflow; the message names the flag
+    for argv, flag in (
+        (["fig1", "--t-max", "inf"], "--t-max"),
+        (["fig2", "--t-max", "inf"], "--t-max"),
+        (["fig3", "--efermi-max-k", "inf"], "--efermi-max-k"),
+        (["fig3", "--efermi-max-k", "1e300", "--t-steps", "3"], "--efermi-max-k"),
+        (["fig1", "--t-min", "1e-6"], "--t-min"),
+        (["fig1", "--t-min", "0.5", "--t-max", "2e3", "--parametric"], "--t-max"),
+        (["fig2", "--t-max", "2e3"], "--t-max"),
+        (["report", "--efermi-k", "1e-3", "--t", "1e-6"], "--t"),
+        (["report", "--efermi-k", "1e-3", "--t", "nan"], "--t"),
+    ):
         capsys.readouterr()
-        assert main([command, flag, "inf"]) == 1
-        assert flag in capsys.readouterr().err
+        assert main(argv) == 1, argv
+        assert f"{flag} " in capsys.readouterr().err, argv
 
 
 def test_table_size_is_bounded(capsys):
@@ -68,10 +80,24 @@ def test_table_size_is_bounded(capsys):
     assert main(["fig1", "--t-steps", "1000001"]) == 1
 
 
-def test_exit_code_numerical_failure_names_value():
-    result = run_process(["fig1", "--t-min", "1e-6", "--t-max", "1", "--t-steps", "2"])
-    assert result.returncode == 2
-    assert "1e-06" in result.stderr
+def test_exit_code_numerical_failure_names_value(monkeypatch, capsys):
+    # no valid input makes the eta solve fail, so take away its Newton steps
+    monkeypatch.setattr(thermo, "_NEWTON_MAX_ITER", 0)
+    thermo.eta_from_t.cache_clear()
+    assert main(["report", "--efermi-k", "1e-3", "--t", "0.123"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "t=0.123, s=1.5" in err
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = (
+        "import sys, ucngas.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_exit_code_bad_config_key(tmp_path):

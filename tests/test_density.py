@@ -89,6 +89,20 @@ def test_density_decays_to_zero_above_the_column():
     assert ns[0] > 0.0 and ns[-1] == 0.0
 
 
+def test_density_ratio_arrays_match_scalars_bit_for_bit():
+    x = ratio_grid(2.0, 60)
+    for t in (1e-4, 0.1, 2.0, 300.0):
+        row = density_ratio(t, x)
+        assert row.shape == x.shape
+        assert all(density_ratio(t, float(x_k)) == r for x_k, r in zip(x, row))
+    t = np.array([[0.1], [2.0]])
+    grid = density_ratio(t, x[None, :])
+    assert grid.shape == (2, x.size)
+    assert np.array_equal(grid[1], density_ratio(2.0, x))
+    with pytest.raises(DomainError, match="got -0.5"):
+        density_ratio(0.1, np.array([0.0, -0.5]))
+
+
 def test_density_ratio_bottom_reference():
     assert density_ratio(0.1, 0.0) == pytest.approx(0.9757320732627063, rel=1e-9)
     assert density_ratio(1e-4, 0.0) == pytest.approx(1.0, abs=1e-7)
@@ -161,6 +175,9 @@ def test_bottom_density_curve():
     assert literal[0] == pytest.approx(0.5 * values[0], rel=1e-14)
     with pytest.raises(DomainError):
         bottom_density_vs_fermi([1e-3, -1e-3], C)
+    # (2 m k_B T)^(3/2) overflows: an error naming the temperature, not an inf
+    with pytest.raises(DomainError, match=r"1e\+300 K overflows"):
+        bottom_density_vs_fermi([1e-3, 1e300], C)
 
 
 def test_diluteness_dilute_storage_numbers():

@@ -120,12 +120,59 @@ def test_fd_maxwell_regime():
 def test_fd_tolerates_quadpack_roundoff_warnings():
     # QUADPACK reports roundoff at these points, yet its estimate is ~1e-13
     mp = pytest.importorskip("mpmath")
-    from oracles import fermi_dirac_mp
+    from oracles import fermi_dirac_mp, fermi_dirac_quad
 
     points = ((2.5, -0.00999999999999801), (2.5, 1.0015873279616967), (0.5, 0.3317105580707387))
     for j, eta in points:
         expected = float(fermi_dirac_mp(j, mp.mpf(eta)))
         assert fermi_dirac(j, eta) == pytest.approx(expected, rel=1e-10)
+        assert fermi_dirac_quad(j, eta) == pytest.approx(expected, rel=1e-10)
+
+
+# every branch and panel edge of the engine, each approached from both sides
+FD_EDGE_GRID = [
+    edge + offset
+    for edge in (-35.0, 0.0, 40.0, 50.0, 80.0)
+    for offset in (-0.5, -1e-9, 0.0, 1e-9, 0.5)
+] + [-1.0e4, -40.0, 1.0e3, 1.0e4 - 1.0, 1.0e4]
+
+
+def test_fd_matches_mpmath_across_branch_edges():
+    mp = pytest.importorskip("mpmath")
+    from oracles import fermi_dirac_mp
+
+    for j in FD_ORDERS:
+        for eta in FD_EDGE_GRID:
+            expected = fermi_dirac_mp(j, mp.mpf(eta), dps=25)
+            got = fermi_dirac(j, eta)
+            if expected < 1e-300:  # F_j(-1e4) underflows to 0.0
+                assert got == 0.0
+                continue
+            assert abs(got / expected - 1) <= 1e-13, (j, eta)
+
+
+def test_fd_matches_quadrature_oracle():
+    from oracles import fermi_dirac_quad
+
+    for j in (0.5, 1.5, 2.5):
+        for eta in (-34.0, -5.0, 0.0, 1.0, 30.0, 79.0, 80.0, 1.0e3):
+            assert fermi_dirac(j, eta) == pytest.approx(fermi_dirac_quad(j, eta), rel=1e-11)
+
+
+def test_fd_array_matches_scalar_bit_for_bit():
+    grid = np.array(FD_EDGE_GRID + list(np.linspace(-60.0, 120.0, 301)))
+    for j in FD_ORDERS:
+        values = fermi_dirac(j, grid)
+        assert values.shape == grid.shape
+        assert all(fermi_dirac(j, float(eta)) == v for eta, v in zip(grid, values))
+        # blocks, shapes and neighbours do not move a value
+        shaped = fermi_dirac(j, grid[:300].reshape(3, 4, 25))
+        assert shaped.shape == (3, 4, 25)
+        assert np.array_equal(shaped.ravel(), values[:300])
+        assert np.array_equal(fermi_dirac(j, grid[::-1]), values[::-1])
+    assert type(fermi_dirac(0.5, 1.0)) is float
+    assert type(fermi_dirac(0.5, np.float64(1.0))) is float
+    assert fermi_dirac(0.5, np.empty((0, 3))).shape == (0, 3)
 
 
 def test_fd_strictly_increasing():
@@ -138,7 +185,7 @@ def test_fd_strictly_increasing():
 def test_fd_derivative_recurrence():
     # dF_j/deta = j F_{j-1}
     h = 1e-4
-    for j in (1.5, 2.5):
+    for j in (0.5, 1.5, 2.5):
         for eta in (-5.0, 0.0, 5.0, 50.0):
             slope = (fermi_dirac(j, eta + h) - fermi_dirac(j, eta - h)) / (2.0 * h)
             assert slope == pytest.approx(j * fermi_dirac(j - 1.0, eta), rel=1e-6)
@@ -157,6 +204,9 @@ def test_fd_validation():
         fermi_dirac(1.5, 1.1e4)
     with pytest.raises(DomainError):
         fermi_dirac(1.5, float("nan"))
+    # an array is rejected as a whole; the message names the order and the bad eta
+    with pytest.raises(DomainError, match=r"F_2\.5 .*got -20000\.0"):
+        fermi_dirac(2.5, np.array([0.0, -2.0e4, 3.0]))
 
 
 # ---- degenerate expansion ----

@@ -24,7 +24,7 @@ from ucngas import (
     thermo_point_from_eta,
 )
 from ucngas import thermo
-from ucngas.specfun import FD_ETA_MAX, FD_ORDERS
+from ucngas.specfun import FD_ETA_MAX
 from ucngas.thermo import _ETA_FLOOR, T_DIMLESS_MAX, T_DIMLESS_MIN
 from oracles import nested_number_term
 
@@ -91,18 +91,66 @@ def test_eta_solver_residual():
 
 
 def test_eta_bracket_holds_the_root_across_the_window():
-    # eta_from_t hands brentq this bracket unwidened, for every order
-    for s in FD_ORDERS:
+    # the Newton solve starts from this bracket for every exponent it accepts;
+    # s = -1/2 is not one of them (it would need F_(-3/2)), nor does it hold there
+    for s in (0.5, 1.5, 2.5):
         for t in (T_DIMLESS_MIN, T_DIMLESS_MAX):
             hi = min(1.0 / t + 1.0, FD_ETA_MAX)
             assert beta_epsf_from_eta(_ETA_FLOOR, s) < 1.0 / t <= beta_epsf_from_eta(hi, s)
 
 
 def test_eta_residual_error_names_t_and_s(monkeypatch):
-    monkeypatch.setattr(thermo.optimize, "brentq", lambda *args, **kwargs: 0.0)
+    # no Newton step leaves eta at its starting estimate, which misses the residual check
+    monkeypatch.setattr(thermo, "_NEWTON_MAX_ITER", 0)
     eta_from_t.cache_clear()
     with pytest.raises(NumericalError, match=r"t=0\.123, s=0\.5"):
         eta_from_t(0.123, FREE)
+    with pytest.raises(NumericalError, match=r"t=0\.123, s=1\.5"):
+        mu_over_ef(np.array([0.123, 0.4]))
+
+
+def test_eta_solve_rejects_exponents_without_a_derivative():
+    with pytest.raises(DomainError, match=r"s=-0\.5"):
+        eta_from_t(0.5, -0.5)
+
+
+def test_vector_eta_solve_matches_mpmath_across_the_window():
+    pytest.importorskip("mpmath")
+    from oracles import eta_from_t_mp
+
+    t = np.geomspace(T_DIMLESS_MIN, T_DIMLESS_MAX, 8)
+    for s in (FREE, 1.5):
+        eta = thermo_point(t, s).eta
+        for t_k, eta_k in zip(t, eta):
+            exact = float(eta_from_t_mp(float(t_k), s, dps=20))
+            assert abs(eta_k - exact) <= 1e-13 * max(abs(exact), 1.0), (s, t_k)
+
+
+def test_thermo_arrays_match_scalars_bit_for_bit():
+    t = np.geomspace(T_DIMLESS_MIN, T_DIMLESS_MAX, 40)
+    for s in (FREE, 1.5):
+        eta_from_t.cache_clear()
+        point = thermo_point(t.reshape(5, 8), s)
+        assert point.eta.shape == (5, 8)
+        for k, t_k in enumerate(t):
+            scalar = thermo_point(float(t_k), s)
+            assert type(scalar.eta) is float
+            assert point.eta.flat[k] == scalar.eta
+            assert point.mu_over_ef.flat[k] == scalar.mu_over_ef == mu_over_ef(float(t_k), s)
+            assert point.u_over_nef.flat[k] == scalar.u_over_nef == internal_energy(float(t_k), s)
+        assert np.array_equal(mu_over_ef(t, s), point.mu_over_ef.ravel())
+        assert np.array_equal(internal_energy(t, s), point.u_over_nef.ravel())
+    etas = np.linspace(-20.0, 200.0, 23)
+    swept = thermo_point_from_eta(etas)
+    betas = beta_epsf_from_eta(etas)
+    for k, eta in enumerate(etas):
+        assert swept.t[k] == thermo_point_from_eta(float(eta)).t
+        assert betas[k] == beta_epsf_from_eta(float(eta))
+
+
+def test_thermo_array_rejects_any_out_of_window_t():
+    with pytest.raises(DomainError, match="got 2000.0"):
+        mu_over_ef(np.array([0.5, 2.0e3]))
 
 
 def test_eta_maxwell_tail():
