@@ -28,6 +28,8 @@ from .density import (
 from .eigen import (
     BoxSpec,
     EigenState,
+    airy_zero,
+    airy_zero_asymptotic,
     box_energy,
     classical_turning_point,
     eigen_energy_asymptotic,
@@ -37,13 +39,7 @@ from .eigen import (
     wavefunction,
 )
 from .errors import DimensionMismatchError, DomainError, NumericalError
-from .specfun import (
-    airy_zero,
-    airy_zero_asymptotic,
-    fermi_dirac,
-    fermi_dirac_maxwell,
-    sommerfeld,
-)
+from .specfun import fermi_dirac, fermi_dirac_maxwell, sommerfeld
 from .thermo import (
     FREE,
     TRAPPED,

@@ -29,9 +29,8 @@ from .density import (
     diluteness,
     ratio_grid,
 )
-from .eigen import eigen_energy_asymptotic, eigen_energy_exact
+from .eigen import ZERO_INDEX_MAX, eigen_energy_asymptotic, eigen_energy_exact
 from .errors import DomainError, NumericalError
-from .specfun import ZERO_INDEX_MAX
 from .thermo import (
     FREE,
     T_DIMLESS_MAX,
@@ -241,7 +240,10 @@ def cmd_report(args, constants: PhysicalConstants) -> dict:
     if not (np.isfinite(efermi_K) and efermi_K > 0.0):
         raise _UsageError(f"--efermi-k must be positive, got {efermi_K!r}")
     _check_t_flag("--t", t)
-    spec = GasSpec.from_fermi_energy(efermi_K * c.kB, L=1.0, constants=c)
+    try:
+        spec = GasSpec.from_fermi_energy(efermi_K * c.kB, L=1.0, constants=c)
+    except DomainError as exc:  # the flag is positive and finite, so N over- or underflowed
+        raise _UsageError(f"--efermi-k {efermi_K!r} is out of range: {exc}") from exc
     n0 = density(t, 0.0, spec, c, paper_literal=args.paper_literal)
     dil = diluteness(n0, efermi_K, c)
     summary = {

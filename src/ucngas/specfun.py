@@ -1,8 +1,4 @@
-"""Negative zeros of the Airy function and complete Fermi-Dirac integrals.
-
-Ai itself comes from the AMOS routines exposed through scipy.special.
-Zeros are located by bracketing refinement seeded with the large-index
-asymptotic formula, then polished with Newton steps.
+"""Complete Fermi-Dirac integrals F_j, with numpy alone.
 
 F_j takes scalars or arrays of eta and evaluates a whole array at once
 with fixed numpy quadrature rules, in three branches: the Maxwell series
@@ -17,14 +13,10 @@ would be faster still, but would have to be derived and checked here.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
 
-from .errors import DomainError, NumericalError
-
-ZERO_INDEX_MAX = 1000
+from .errors import DomainError
 
 # complete Fermi-Dirac integrals are provided for these orders only
 FD_ORDERS = (-0.5, 0.5, 1.5, 2.5)
@@ -50,45 +42,6 @@ _DEG_W = (np.arange(4)[:, None] * 10.0 + 5.0 + 5.0 * _GL_X).ravel()
 _DEG_KERNEL = np.tile(5.0 * _GL_W, 4) / (np.exp(_DEG_W) + 1.0)
 # eta values per block: keeps the middle branch's temporaries near 1 MB
 _FD_BLOCK = 256
-
-
-def airy_zero_asymptotic(n: int) -> float:
-    """Large-index approximation -(3*pi*(4n - 1)/8)**(2/3) to the n-th zero.
-
-    Accurate to about 0.8% at n = 1 and improving monotonically with n.
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"zero index must be a positive integer, got {n!r}")
-    return -((3.0 * math.pi * (4.0 * n - 1.0) / 8.0) ** (2.0 / 3.0))
-
-
-@lru_cache(maxsize=ZERO_INDEX_MAX + 1)
-def airy_zero(n: int) -> float:
-    """n-th negative zero of Ai for 1 <= n <= 1000.
-
-    Seeded by :func:`airy_zero_asymptotic`, refined with derivative-free
-    bracketing, then Newton-polished; |Ai| at the result is below 1e-13.
-    Results are cached (pure and deterministic, so safe to share).
-    """
-    if not (isinstance(n, int) and 1 <= n <= ZERO_INDEX_MAX):
-        raise DomainError(f"zero index must lie in 1..{ZERO_INDEX_MAX}, got {n!r}")
-    seed = airy_zero_asymptotic(n)
-    ai = lambda x: float(special.airy(x)[0])
-    # zero spacing shrinks like pi/sqrt(|a|); keep the bracket well inside it
-    width = min(0.1, 0.35 * math.pi / math.sqrt(-seed))
-    lo, hi = seed - width, seed + width
-    for _ in range(6):
-        if ai(lo) * ai(hi) < 0.0:
-            break
-        width *= 1.6
-        lo, hi = seed - width, seed + width
-    else:
-        raise NumericalError(f"could not bracket Airy zero {n}")
-    root = optimize.brentq(ai, lo, hi, xtol=5e-14, rtol=8.9e-16)
-    for _ in range(2):
-        val, slope = special.airy(root)[:2]
-        root -= float(val) / float(slope)
-    return float(root)
 
 
 def _check_order(j: float) -> float:

@@ -90,9 +90,12 @@ def particle_number(eps_F: float, L: float, constants: PhysicalConstants | None 
     if not (eps_F > 0.0 and L > 0.0 and math.isfinite(eps_F) and math.isfinite(L)):
         raise DomainError("eps_F and L must be positive and finite")
     c = constants if constants is not None else default_constants()
-    return (2.0 * c.m * eps_F / c.hbar**2) ** 2.5 * c.hbar**2 * L**2 / (
-        15.0 * math.pi**2 * c.m**2 * c.g
-    )
+    try:
+        return (2.0 * c.m * eps_F / c.hbar**2) ** 2.5 * c.hbar**2 * L**2 / (
+            15.0 * math.pi**2 * c.m**2 * c.g
+        )
+    except OverflowError:
+        raise DomainError(f"eps_F = {eps_F!r} J overflows the particle number") from None
 
 
 def beta_epsf_from_eta(eta, s: float = TRAPPED):

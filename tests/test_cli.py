@@ -53,7 +53,8 @@ def test_exit_code_usage_errors(capsys):
     assert main(["fig2", "--paper-literal"]) == 1
     assert main(["report", "--efermi-k", "1e-3", "--format", "json"]) == 1
     # a window must be finite, a reduced temperature must lie in the solver's
-    # window, and fig3 must not overflow; the message names the flag
+    # window, and neither fig3 nor report may over- or underflow; the message
+    # names the flag
     for argv, flag in (
         (["fig1", "--t-max", "inf"], "--t-max"),
         (["fig2", "--t-max", "inf"], "--t-max"),
@@ -64,6 +65,9 @@ def test_exit_code_usage_errors(capsys):
         (["fig2", "--t-max", "2e3"], "--t-max"),
         (["report", "--efermi-k", "1e-3", "--t", "1e-6"], "--t"),
         (["report", "--efermi-k", "1e-3", "--t", "nan"], "--t"),
+        (["report", "--efermi-k", "1e150"], "--efermi-k"),
+        (["report", "--efermi-k", "1e300"], "--efermi-k"),
+        (["report", "--efermi-k", "1e-300"], "--efermi-k"),
     ):
         capsys.readouterr()
         assert main(argv) == 1, argv
@@ -90,14 +94,28 @@ def test_exit_code_numerical_failure_names_value(monkeypatch, capsys):
     assert "t=0.123, s=1.5" in err
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    code = (
-        "import sys, ucngas.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
-    )
+def test_cli_leaves_out_scipy():
+    # scipy is only for Ai itself (eigen states and wavefunctions); importing
+    # the CLI and running every subcommand must not load any scipy module
+    code = """
+import io, sys
+from contextlib import redirect_stdout
+from ucngas.cli import main
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(loaded())
+with redirect_stdout(io.StringIO()):
+    codes = [
+        main(["report", "--efermi-k", "1e-3"]),
+        main(["fig1", "--t-steps", "3"]),
+        main(["fig2", "--t-steps", "2", "--z-steps", "2"]),
+        main(["fig3", "--t-steps", "2"]),
+        main(["eigen", "--n-max", "1000"]),
+    ]
+print(codes, loaded())
+"""
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] []"]
 
 
 def test_exit_code_bad_config_key(tmp_path):

@@ -1,16 +1,22 @@
-"""Bouncer eigenstates: energies, wavefunctions, box modes, oracle checks."""
+"""Airy zeros and bouncer eigenstates: energies, wavefunctions, box modes, oracle checks.
+
+The reference zeros A1 and A2 were produced independently by 30-digit
+root refinement; scipy's Ai checks every zero, and mpmath's airyaizero
+checks them across the range.
+"""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from ucngas import (
     BoxSpec,
     DomainError,
     PhysicalConstants,
     airy_zero,
+    airy_zero_asymptotic,
     box_energy,
     classical_turning_point,
     convert,
@@ -22,8 +28,11 @@ from ucngas import (
     total_energy,
     wavefunction,
 )
+from ucngas.eigen import ZERO_INDEX_MAX
 from oracles import bouncer_levels_fd
 
+A1 = -2.33810741045976704
+A2 = -4.08794944413097062
 AIP_AT_A1 = 0.70121082272069136  # |Ai'| at the first zero, 30-digit refinement
 
 
@@ -31,6 +40,86 @@ def _tail_end(state, constants=None):
     # quadrature cutoff: turning point plus ten decay lengths
     scales = derive_scales(constants)
     return classical_turning_point(state, constants) + 10.0 * scales.l_g
+
+
+# ---- Airy zeros ----
+
+
+def test_airy_vanishes_at_first_zero():
+    assert abs(float(special.airy(A1)[0])) <= 1e-13
+
+
+def test_zero_values():
+    assert airy_zero(1) == pytest.approx(A1, abs=1e-12)
+    assert airy_zero(2) == pytest.approx(A2, abs=1e-12)
+    assert type(airy_zero(1)) is float
+
+
+def test_zeros_annihilate_ai():
+    for n in (1, 2, 5, 10, 100, 279):
+        a_n = airy_zero(n)
+        assert abs(float(special.airy(a_n)[0])) <= 1e-12
+    for n in (500, 1000):
+        a_n = airy_zero(n)
+        assert abs(float(special.airy(a_n)[0])) <= 1e-11
+
+
+def test_zeros_strictly_decreasing():
+    values = [airy_zero(n) for n in range(1, 51)]
+    assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_asymptotic_seed_values():
+    assert airy_zero_asymptotic(1) == pytest.approx(-2.320251, abs=1e-6)
+    assert airy_zero_asymptotic(2) == pytest.approx(-4.0818100, abs=1e-6)
+    assert airy_zero_asymptotic(3) == pytest.approx(
+        -((3.0 * math.pi * 11.0 / 8.0) ** (2.0 / 3.0)), rel=1e-15
+    )
+
+
+def test_asymptotic_error_small_and_shrinking():
+    rels = []
+    for n in range(1, 101):
+        exact = airy_zero(n)
+        rels.append(abs(airy_zero_asymptotic(n) - exact) / abs(exact))
+    assert rels[0] <= 1e-2
+    assert all(b < a for a, b in zip(rels, rels[1:]))
+    assert rels[9] <= 1e-4  # tenth zero matches the seed to 0.01%
+
+
+def test_zero_index_validation():
+    for bad in (0, -3, 1001):
+        with pytest.raises(DomainError):
+            airy_zero(bad)
+    with pytest.raises(DomainError):
+        airy_zero_asymptotic(0)
+
+
+def test_zeros_match_mpmath():
+    # every tabulated zero, the first from the series, and across the range
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for n in (*range(1, 12), 100, 500, 1000):
+            assert airy_zero(n) == float(mp.airyaizero(n))
+
+
+def test_every_zero_is_the_nth_zero_of_amos_ai():
+    # seed +- 0.35 of the local zero spacing pi/sqrt(|a|), capped at 0.1: a
+    # window narrower than the spacing, so a sign change of Ai across it is
+    # the n-th zero alone; airy_zero(n) must lie inside, and a Newton step
+    # on scipy's Ai must move it by no more than 2 ulp
+    n = range(1, ZERO_INDEX_MAX + 1)
+    seed = np.array([airy_zero_asymptotic(k) for k in n])
+    width = np.minimum(0.1, 0.35 * np.pi / np.sqrt(-seed))
+    lo, hi = seed - width, seed + width
+    assert np.all(special.airy(lo)[0] * special.airy(hi)[0] < 0.0)
+    zeros = np.array([airy_zero(k) for k in n])
+    assert np.all((lo < zeros) & (zeros < hi))
+    ai, ai_prime = special.airy(zeros)[:2]
+    assert np.all(np.abs(ai / ai_prime) <= 2.0 * np.spacing(-zeros))
+
+
+# ---- levels, states and box modes ----
 
 
 def test_ground_state_energy():
@@ -191,6 +280,8 @@ def test_index_validation():
     for bad in (0, 1001):
         with pytest.raises(DomainError):
             eigen_energy_exact(bad)
+        with pytest.raises(DomainError):
+            eigen_energy_asymptotic(bad)
         with pytest.raises(DomainError):
             eigen_state(bad)
     with pytest.raises(DomainError):

@@ -1,29 +1,17 @@
-"""Airy zeros and Fermi-Dirac integrals.
+"""Fermi-Dirac integrals.
 
 Reference values were produced independently with 30-digit arithmetic
-(Airy zeros by high-precision root refinement, Fermi-Dirac integrals via
-the polylogarithm identity F_j(eta) = -Gamma(j+1) Li_{j+1}(-e^eta)).
+via the polylogarithm identity F_j(eta) = -Gamma(j+1) Li_{j+1}(-e^eta).
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import special
 from scipy.special import zeta
 
-from ucngas import (
-    DomainError,
-    airy_zero,
-    airy_zero_asymptotic,
-    fermi_dirac,
-    fermi_dirac_maxwell,
-    sommerfeld,
-)
+from ucngas import DomainError, fermi_dirac, fermi_dirac_maxwell, sommerfeld
 from ucngas.specfun import FD_ORDERS
-
-A1 = -2.33810741045976704
-A2 = -4.08794944413097062
 
 # (order, eta) -> F_j(eta), 30-digit polylogarithm evaluation
 FD_REFERENCE = {
@@ -38,59 +26,6 @@ FD_REFERENCE = {
     (2.5, 20.0): 10590.639176614387,
     (2.5, -30.0): 3.1098665374579759e-13,
 }
-
-
-# ---- Airy zeros ----
-
-
-def test_airy_vanishes_at_first_zero():
-    assert abs(float(special.airy(A1)[0])) <= 1e-13
-
-
-def test_zero_values():
-    assert airy_zero(1) == pytest.approx(A1, abs=1e-12)
-    assert airy_zero(2) == pytest.approx(A2, abs=1e-12)
-    assert type(airy_zero(1)) is float
-
-
-def test_zeros_annihilate_ai():
-    for n in (1, 2, 5, 10, 100, 279):
-        a_n = airy_zero(n)
-        assert abs(float(special.airy(a_n)[0])) <= 1e-12
-    for n in (500, 1000):
-        a_n = airy_zero(n)
-        assert abs(float(special.airy(a_n)[0])) <= 1e-11
-
-
-def test_zeros_strictly_decreasing():
-    values = [airy_zero(n) for n in range(1, 51)]
-    assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_asymptotic_seed_values():
-    assert airy_zero_asymptotic(1) == pytest.approx(-2.320251, abs=1e-6)
-    assert airy_zero_asymptotic(2) == pytest.approx(-4.0818100, abs=1e-6)
-    assert airy_zero_asymptotic(3) == pytest.approx(
-        -((3.0 * math.pi * 11.0 / 8.0) ** (2.0 / 3.0)), rel=1e-15
-    )
-
-
-def test_asymptotic_error_small_and_shrinking():
-    rels = []
-    for n in range(1, 101):
-        exact = airy_zero(n)
-        rels.append(abs(airy_zero_asymptotic(n) - exact) / abs(exact))
-    assert rels[0] <= 1e-2
-    assert all(b < a for a, b in zip(rels, rels[1:]))
-    assert rels[9] <= 1e-4  # tenth zero matches the seed to 0.01%
-
-
-def test_zero_index_validation():
-    for bad in (0, -3, 1001):
-        with pytest.raises(DomainError):
-            airy_zero(bad)
-    with pytest.raises(DomainError):
-        airy_zero_asymptotic(0)
 
 
 # ---- Fermi-Dirac integrals ----

@@ -61,6 +61,10 @@ def test_gas_spec_consistency():
         GasSpec(N=-1.0, L=1.0, eps_F=1e-30)
     with pytest.raises(DomainError):
         fermi_energy(0.0, 1.0)
+    # particle numbers that over- or underflow a double are domain errors too
+    for eps_F in (1e127, 1e277, 1e-303):
+        with pytest.raises(DomainError):
+            GasSpec.from_fermi_energy(eps_F, 1.0)
 
 
 def test_beta_epsf_at_eta_zero():
