@@ -26,16 +26,13 @@ from .density import (
     ratio_grid,
 )
 from .eigen import (
-    BoxSpec,
     EigenState,
     airy_zero,
     airy_zero_asymptotic,
-    box_energy,
     classical_turning_point,
     eigen_energy_asymptotic,
     eigen_energy_exact,
     eigen_state,
-    total_energy,
     wavefunction,
 )
 from .errors import DimensionMismatchError, DomainError, NumericalError
@@ -59,7 +56,6 @@ from .thermo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxSpec",
     "DilutenessReport",
     "DimensionMismatchError",
     "DomainError",
@@ -75,7 +71,6 @@ __all__ = [
     "airy_zero_asymptotic",
     "beta_epsf_from_eta",
     "bottom_density_vs_fermi",
-    "box_energy",
     "classical_turning_point",
     "constants_from_config",
     "convert",
@@ -101,6 +96,5 @@ __all__ = [
     "sommerfeld",
     "thermo_point",
     "thermo_point_from_eta",
-    "total_energy",
     "wavefunction",
 ]

@@ -131,4 +131,26 @@ def constants_from_config(text: str) -> PhysicalConstants:
             overrides[field_name] = float(value)
         except ValueError:
             raise DomainError(f"config line {lineno}: bad number {value!r}") from None
-    return PhysicalConstants(**overrides)
+    constants = PhysicalConstants(**overrides)
+    _check_scales(constants)
+    return constants
+
+
+def _check_scales(c: PhysicalConstants) -> None:
+    """Reject constants whose derived scales leave the double range.
+
+    Each constant may be finite and positive while alpha, l_g, e_g or
+    hbar^3 over- or underflows, which would surface later as a division
+    by zero or an OverflowError. Float products give inf or 0.0 rather
+    than raising, so each quantity is formed and tested here first.
+    """
+    hbar2 = c.hbar * c.hbar
+    alpha = 2.0 * c.m * c.m * c.g / hbar2 if hbar2 > 0.0 else math.inf
+    quantities = [("alpha = 2 m^2 g / hbar^2", alpha)]
+    if 0.0 < alpha < math.inf:  # derive_scales cannot raise then
+        scales = derive_scales(c)
+        quantities += [("l_g", scales.l_g), ("e_g", scales.e_g)]
+    quantities.append(("hbar^3", hbar2 * c.hbar))
+    for name, value in quantities:
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} is {value!r}; the constants must keep it positive and finite")

@@ -16,7 +16,7 @@ import numpy as np
 from .constants import PhysicalConstants, default_constants
 from .errors import DomainError
 from .specfun import FD_ETA_MAX, fermi_dirac
-from .thermo import TRAPPED, GasSpec, _check_t, _eta
+from .thermo import TRAPPED, GasSpec, _check_t, eta_from_t
 
 # default height grid: uniform to 1.5x the zero-T column, with an
 # exponentially spaced tail extension once k_B T is comparable to eps_F
@@ -102,7 +102,7 @@ def density_ratio(t, mgz_over_ef):
     if bad.any():
         raise DomainError(f"m g z / eps_F must be nonnegative, got {float(x[bad].flat[0])!r}")
     t = _check_t(t)
-    eta = np.maximum(_eta(t, TRAPPED) - x / t, -FD_ETA_MAX)
+    eta = np.maximum(eta_from_t(t, TRAPPED) - x / t, -FD_ETA_MAX)
     return 1.5 * np.power(t, 1.5) * fermi_dirac(0.5, eta)
 
 

@@ -1,8 +1,9 @@
 """Bound states of a particle above a hard floor in uniform gravity.
 
 The vertical eigenfunctions are shifted Airy functions and the levels
-are E_n = e_g |a_n|, with a_n the n-th negative zero of Ai; the lateral
-directions are ordinary box modes. Energies come out in joules.
+are E_n = e_g |a_n|, with a_n the n-th negative zero of Ai. Only the
+vertical problem lives here: the thermodynamics treats the lateral motion
+as an exact continuum. Energies come out in joules.
 
 This is the one module that evaluates Ai, which comes from the AMOS
 routines exposed through scipy.special. scipy is imported inside the
@@ -34,17 +35,6 @@ _ZERO_SERIES = (5 / 48, -5 / 36, 77125 / 82944, -108056875 / 6967296, 1623755968
 _PI_34 = Decimal("3.141592653589793238462643383279503")
 # Ai underflows double precision long before this; treat the tail as zero
 _AIRY_TAIL_CUT = 40.0
-
-
-@dataclass(frozen=True)
-class BoxSpec:
-    """Square lateral confinement of side L (m)."""
-
-    L: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.L, (int, float)) and math.isfinite(self.L) and self.L > 0):
-            raise DomainError(f"box side must be positive and finite, got {self.L!r}")
 
 
 @dataclass(frozen=True)
@@ -138,32 +128,3 @@ def classical_turning_point(state: EigenState, constants: PhysicalConstants | No
     """Height E/(m g) where the potential equals the state's energy (m)."""
     c = constants if constants is not None else default_constants()
     return state.energy / (c.m * c.g)
-
-
-def box_energy(n: int, box: BoxSpec, constants: PhysicalConstants | None = None) -> float:
-    """Lateral box level pi^2 hbar^2 n^2 / (2 m L^2) (J)."""
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"box quantum number must be a positive integer, got {n!r}")
-    c = constants if constants is not None else default_constants()
-    return (math.pi * c.hbar * n) ** 2 / (2.0 * c.m * box.L**2)
-
-
-def total_energy(
-    n_x: int,
-    n_y: int,
-    n_z: int,
-    box: BoxSpec,
-    constants: PhysicalConstants | None = None,
-    exact_z: bool = False,
-) -> float:
-    """Total level energy: two box modes plus the vertical level (J).
-
-    The vertical part uses the asymptotic form by default; ``exact_z``
-    switches to the Airy-zero value.
-    """
-    vertical = eigen_energy_exact if exact_z else eigen_energy_asymptotic
-    return (
-        box_energy(n_x, box, constants)
-        + box_energy(n_y, box, constants)
-        + vertical(n_z, constants)
-    )

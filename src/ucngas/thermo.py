@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -168,19 +167,20 @@ def _solve_eta(t: np.ndarray, s: float) -> np.ndarray:
     return eta
 
 
-@lru_cache(maxsize=4096)
-def eta_from_t(t: float, s: float = TRAPPED) -> float:
+def eta_from_t(t, s: float = TRAPPED):
     """Reduced chemical potential eta = beta*mu at reduced temperature t.
 
-    Inverts beta_epsf_from_eta(eta, s) = 1/t; the cached scalar face of
-    the vector solve every array of t goes through.
+    Inverts beta_epsf_from_eta(eta, s) = 1/t by one vector solve. Takes a
+    scalar t, giving a float, or an array, giving an array of its shape.
     """
-    return float(_solve_eta(np.array([_check_t(t)]), s)[0])
+    t = _check_t(t)
+    eta = _solve_eta(np.atleast_1d(t).ravel(), s)
+    return float(eta[0]) if np.ndim(t) == 0 else eta.reshape(t.shape)
 
 
-def _eta(t, s: float):
-    # a scalar t goes through the cache, an array through one vector solve
-    return eta_from_t(t, s) if np.ndim(t) == 0 else _solve_eta(t.ravel(), s).reshape(t.shape)
+# perfbench/probe.py clears the cache this function once had before it
+# times a cold solve; nothing is cached, so clearing does nothing
+eta_from_t.cache_clear = lambda: None
 
 
 def mu_over_ef(t, s: float = TRAPPED):
@@ -189,7 +189,7 @@ def mu_over_ef(t, s: float = TRAPPED):
     Takes a scalar or an array of t.
     """
     t = _check_t(t)
-    return t * _eta(t, s)
+    return t * eta_from_t(t, s)
 
 
 def mu_over_ef_sommerfeld(t: float) -> float:
@@ -223,13 +223,13 @@ def internal_energy(t, s: float = TRAPPED):
     and (s+1) t in the classical regime. Takes a scalar or an array of t.
     """
     t = _check_t(t)
-    return _energy(t, _eta(t, s), s)
+    return _energy(t, eta_from_t(t, s), s)
 
 
 def thermo_point(t, s: float = TRAPPED) -> ThermoPoint:
     """Bundle eta, mu/eps_F and U/(N eps_F); fields are arrays for an array of t."""
     t = _check_t(t)
-    eta = _eta(t, s)
+    eta = eta_from_t(t, s)
     return ThermoPoint(t=t, eta=eta, mu_over_ef=t * eta, u_over_nef=_energy(t, eta, s))
 
 

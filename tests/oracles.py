@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 from scipy.linalg import eigh_tridiagonal
 
 
@@ -34,6 +34,39 @@ def bouncer_levels_fd(n_levels: int, constants, n_grid: int = 10_000, s_max: flo
         diag, offdiag, eigvals_only=True, select="i", select_range=(0, n_levels - 1)
     )
     return vals * e_g
+
+
+AIRY_LEVELS = 1000  # zeros the semi-discrete sum takes from scipy
+# at tau > 0 a level this far above mu holds under e^-40 of a particle share
+_LEVEL_TAIL_SPAN = 40.0
+
+
+def airy_level_number(mu: float, tau: float = 0.0) -> float:
+    """Areal particle number summed over the discrete Airy levels.
+
+    Energies are in units of e_g and the number in units of
+    m e_g / (pi hbar^2), spin 2 included. Level n sits at x_n = |a_n| and
+    carries an exact 2-D lateral continuum, which holds
+    tau ln(1 + e^((mu - x_n)/tau)) particles, or (mu - x_n)_+ at tau = 0.
+    The continuum density of states gives (2/(3 pi)) tau^(5/2) F_{3/2}(mu/tau)
+    in the same units, (4/(15 pi)) mu^(5/2) at tau = 0.
+
+    The zeros come from scipy's ai_zeros, not from the package. Only
+    AIRY_LEVELS of them are summed, so a request that needs more raises
+    ValueError instead of extrapolating: mu >= x_1000 at tau = 0, and
+    x_1000 - mu < 40 tau above it.
+    """
+    x = -special.ai_zeros(AIRY_LEVELS)[0]
+    if tau == 0.0:
+        if not mu < x[-1]:
+            raise ValueError(f"mu = {mu!r} e_g reaches past level {AIRY_LEVELS} at {x[-1]!r}")
+        return float(np.sum(np.maximum(mu - x, 0.0)))
+    if not x[-1] - mu >= _LEVEL_TAIL_SPAN * tau:
+        raise ValueError(
+            f"mu = {mu!r} e_g at tau = {tau!r} leaves under {_LEVEL_TAIL_SPAN:g} tau "
+            f"below level {AIRY_LEVELS} at {x[-1]!r}"
+        )
+    return float(tau * np.sum(np.logaddexp(0.0, (mu - x) / tau)))
 
 
 def _fermi_kernel(x: float) -> float:

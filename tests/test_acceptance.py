@@ -7,6 +7,8 @@ bottom-density slope, 5/2 classical energy). Each also asserts that the
 widely quoted coefficient (pi^2/2 and ratio 6, 5 pi^2/8, 7/2) falls outside
 the same tolerance, and prints both on its verdict line.
 test_series_oracle.py derives the same coefficients from mpmath alone.
+Checks 11 and 11b sum the particle number over the discrete Airy levels
+and pin how much the continuum density of states overcounts it.
 """
 
 import math
@@ -40,7 +42,7 @@ from ucngas import (
     wavefunction,
 )
 from ucngas.cli import main
-from oracles import bouncer_levels_fd, column_number, nested_cross_term
+from oracles import airy_level_number, bouncer_levels_fd, column_number, nested_cross_term
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [
@@ -237,6 +239,61 @@ def test_check_10b_classical_energy_slope():
     quoted_out = not fits(3.5)
     ok = fits(2.5) and quoted_out
     _verdict("check 10b", ok, f"u/t at t = 100 is {slope:.6f} vs 5/2 {_quoted('7/2', quoted_out)}")
+
+
+def _continuum_number(mu: float, tau: float) -> float:
+    # the column's continuum count in the units of oracles.airy_level_number
+    if tau == 0.0:
+        return 4.0 / (15.0 * math.pi) * mu**2.5
+    return 2.0 / (3.0 * math.pi) * tau**2.5 * fermi_dirac(1.5, mu / tau)
+
+
+def test_check_11_discrete_levels_zero_temperature():
+    # the Airy staircase sits 1/4 level below the continuum count (its
+    # -1/4 Maslov offset), so N_levels = N_continuum - X/4 in X = eps_F/e_g
+    correction = lambda x: 15.0 * math.pi / 16.0 * x**-1.5
+    worst, parts = 0.0, []
+    for x in (30.0, 100.0, 250.0):
+        deficit = 1.0 - airy_level_number(x) / _continuum_number(x, 0.0)
+        worst = max(worst, abs(deficit / correction(x) - 1.0))
+        parts.append(f"{deficit:.5e} vs {correction(x):.5e} at X = {x:g}")
+    c = default_constants()
+    x_paper = c.kB * 1e-3 / derive_scales(c).e_g
+    ok = worst <= 1e-3
+    _verdict(
+        "check 11",
+        ok,
+        f"level-sum deficit vs (15 pi/16) X^-3/2: {'; '.join(parts)}; worst rel err "
+        f"{worst:.2e}; the 1 mK gas has X = {x_paper:.3e}, correction {correction(x_paper):.1e}",
+    )
+
+
+def test_check_11b_discrete_levels_finite_temperature():
+    # the same 1/4-level offset under the Fermi factor: the deficit is
+    # (tau/4) ln(1 + e^eta) over the continuum count
+    def correction(mu, tau):
+        eta = mu / tau
+        return 3.0 * math.pi / 8.0 * math.log1p(math.exp(eta)) / fermi_dirac(1.5, eta) / tau**1.5
+
+    # fixed eta and tau, and the eta(t) of a gas with eps_F = 30 e_g
+    points = [(eta * tau, tau) for tau in (3.0, 5.0) for eta in (10.0, 16.0)]
+    points += [(eta_from_t(t) * t * 30.0, t * 30.0) for t in (0.01, 0.1, 0.2)]
+    worst, worst_at = 0.0, None
+    for mu, tau in points:
+        deficit = 1.0 - airy_level_number(mu, tau) / _continuum_number(mu, tau)
+        err = abs(deficit / correction(mu, tau) - 1.0)
+        if err >= worst:
+            worst, worst_at = err, (mu / tau, tau)
+    # deficit is left at the last point, eps_F = 30 e_g at t = 0.2
+    cold = 1.0 - airy_level_number(30.0) / _continuum_number(30.0, 0.0)
+    ok = worst <= 5e-3
+    _verdict(
+        "check 11b",
+        ok,
+        f"level-sum deficit vs (3 pi/8) ln(1 + e^eta) / F_3/2(eta) tau^-3/2 at {len(points)} "
+        f"points, worst rel err {worst:.2e} at eta = {worst_at[0]:.3g}, tau = {worst_at[1]:g}; "
+        f"eps_F = 30 e_g: {cold:.3e} at T = 0, {deficit:.3e} at t = 0.2",
+    )
 
 
 # ---- figure shape checks (stand-ins for pixel comparison) ----

@@ -39,7 +39,7 @@ def parse_csv(text):
 # ---- exit codes ----
 
 
-def test_exit_code_usage_errors(capsys):
+def test_exit_code_usage_errors(capsys, tmp_path):
     assert main(["bogus"]) == 1
     assert main([]) == 1
     assert main(["eigen", "--n-max", "0"]) == 1
@@ -72,6 +72,18 @@ def test_exit_code_usage_errors(capsys):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert f"{flag} " in capsys.readouterr().err, argv
+    # finite constants whose gravitational scales or hbar^3 over- or underflow
+    cfg = tmp_path / "extreme.cfg"
+    for text in ("m_kg = 1e200", "m_kg = 1e-200", "hbar_Js = 1e200", "g_mps2 = 1e-300"):
+        cfg.write_text(text + "\n")
+        for argv in (["eigen", "--n-max", "3"], ["report", "--efermi-k", "1e-3"]):
+            capsys.readouterr()
+            assert main([*argv, "--config", str(cfg)]) == 1, (text, argv)
+            assert f"config {cfg}: alpha" in capsys.readouterr().err, (text, argv)
+    cfg.write_text("hbar_Js = 1e110\n")
+    capsys.readouterr()
+    assert main(["fig3", "--config", str(cfg)]) == 1
+    assert f"config {cfg}: hbar^3" in capsys.readouterr().err
 
 
 def test_table_size_is_bounded(capsys):
@@ -87,7 +99,6 @@ def test_table_size_is_bounded(capsys):
 def test_exit_code_numerical_failure_names_value(monkeypatch, capsys):
     # no valid input makes the eta solve fail, so take away its Newton steps
     monkeypatch.setattr(thermo, "_NEWTON_MAX_ITER", 0)
-    thermo.eta_from_t.cache_clear()
     assert main(["report", "--efermi-k", "1e-3", "--t", "0.123"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")

@@ -1,6 +1,7 @@
 """Constants, derived gravitational scales, unit conversion, config parsing."""
 
 import math
+import re
 
 import pytest
 
@@ -121,3 +122,13 @@ def test_config_rejects_bad_input():
         constants_from_config("g_mps2 = fast\n")  # not a number
     with pytest.raises(DomainError):
         constants_from_config("g_mps2 = -9.8\n")  # violates positivity
+    # each constant finite and positive, but a derived scale leaves the double range
+    for text, quantity in (
+        ("m_kg = 1e200\n", "alpha"),
+        ("m_kg = 1e-200\n", "alpha"),
+        ("hbar_Js = 1e200\n", "alpha"),
+        ("g_mps2 = 1e-300\n", "alpha"),
+        ("hbar_Js = 1e110\n", "hbar^3"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(quantity)):
+            constants_from_config(text)

@@ -1,4 +1,4 @@
-"""Airy zeros and bouncer eigenstates: energies, wavefunctions, box modes, oracle checks.
+"""Airy zeros and bouncer eigenstates: energies, wavefunctions, oracle checks.
 
 The reference zeros A1 and A2 were produced independently by 30-digit
 root refinement; scipy's Ai checks every zero, and mpmath's airyaizero
@@ -12,12 +12,10 @@ import pytest
 from scipy import integrate, special
 
 from ucngas import (
-    BoxSpec,
     DomainError,
     PhysicalConstants,
     airy_zero,
     airy_zero_asymptotic,
-    box_energy,
     classical_turning_point,
     convert,
     default_constants,
@@ -25,11 +23,11 @@ from ucngas import (
     eigen_energy_asymptotic,
     eigen_energy_exact,
     eigen_state,
-    total_energy,
+    eta_from_t,
     wavefunction,
 )
 from ucngas.eigen import ZERO_INDEX_MAX
-from oracles import bouncer_levels_fd
+from oracles import AIRY_LEVELS, airy_level_number, bouncer_levels_fd
 
 A1 = -2.33810741045976704
 A2 = -4.08794944413097062
@@ -119,7 +117,7 @@ def test_every_zero_is_the_nth_zero_of_amos_ai():
     assert np.all(np.abs(ai / ai_prime) <= 2.0 * np.spacing(-zeros))
 
 
-# ---- levels, states and box modes ----
+# ---- levels and states ----
 
 
 def test_ground_state_energy():
@@ -248,32 +246,19 @@ def test_finite_difference_oracle_converges_quadratically():
     assert err[0] / err[1] == pytest.approx(4.0, abs=0.5)
 
 
-def test_box_energy_values():
-    c = default_constants()
-    box = BoxSpec(L=1.0)
-    ground = box_energy(1, box)
-    assert ground == pytest.approx(math.pi**2 * c.hbar**2 / (2.0 * c.m), rel=1e-15)
-    assert ground == pytest.approx(3.28e-41, rel=2e-3)
-    assert box_energy(2, box) == pytest.approx(4.0 * ground, rel=1e-15)
-    assert box_energy(1, BoxSpec(L=2.0)) == pytest.approx(ground / 4.0, rel=1e-15)
-
-
-def test_total_energy_additivity_and_symmetry():
-    box = BoxSpec(L=1.0)
-    total = total_energy(1, 1, 1, box)
-    assert total == pytest.approx(
-        2.0 * box_energy(1, box) + eigen_energy_asymptotic(1), rel=1e-15
-    )
-    assert total_energy(2, 3, 1, box) == total_energy(3, 2, 1, box)
-    exact = total_energy(1, 1, 1, box, exact_z=True)
-    assert exact == pytest.approx(2.0 * box_energy(1, box) + eigen_energy_exact(1), rel=1e-15)
-
-
-def test_total_energy_weak_gravity_is_box_spectrum():
-    box = BoxSpec(L=1.0)
-    weak = PhysicalConstants(g=9.80665e-21)
-    total = total_energy(1, 1, 1, box, weak)
-    assert total == pytest.approx(2.0 * box_energy(1, box, weak), rel=1e-3)
+def test_level_sum_oracle_refuses_what_its_levels_do_not_cover():
+    x_top = -special.ai_zeros(AIRY_LEVELS)[0][-1]
+    assert airy_level_number(math.nextafter(x_top, 0.0)) > 0.0
+    for mu in (x_top, 2.0 * x_top):
+        with pytest.raises(ValueError, match="past level 1000"):
+            airy_level_number(mu)
+    assert airy_level_number(x_top - 40.0 * 3.0, 3.0) > 0.0
+    # eps_F = 30 e_g at t = 0.3 leaves 28.6 tau; eps_F = 100 e_g at t = 0.3
+    # leaves 6.8 tau, where the truncated sum overstates the deficit by 29%
+    eta = eta_from_t(0.3)
+    for mu, tau in ((x_top - 39.9 * 3.0, 3.0), (eta * 9.0, 9.0), (eta * 30.0, 30.0)):
+        with pytest.raises(ValueError, match="under 40 tau"):
+            airy_level_number(mu, tau)
 
 
 def test_index_validation():
@@ -284,10 +269,6 @@ def test_index_validation():
             eigen_energy_asymptotic(bad)
         with pytest.raises(DomainError):
             eigen_state(bad)
-    with pytest.raises(DomainError):
-        box_energy(0, BoxSpec(L=1.0))
-    with pytest.raises(DomainError):
-        BoxSpec(L=0.0)
 
 
 def test_turning_point():

@@ -106,7 +106,6 @@ def test_eta_bracket_holds_the_root_across_the_window():
 def test_eta_residual_error_names_t_and_s(monkeypatch):
     # no Newton step leaves eta at its starting estimate, which misses the residual check
     monkeypatch.setattr(thermo, "_NEWTON_MAX_ITER", 0)
-    eta_from_t.cache_clear()
     with pytest.raises(NumericalError, match=r"t=0\.123, s=0\.5"):
         eta_from_t(0.123, FREE)
     with pytest.raises(NumericalError, match=r"t=0\.123, s=1\.5"):
@@ -133,7 +132,6 @@ def test_vector_eta_solve_matches_mpmath_across_the_window():
 def test_thermo_arrays_match_scalars_bit_for_bit():
     t = np.geomspace(T_DIMLESS_MIN, T_DIMLESS_MAX, 40)
     for s in (FREE, 1.5):
-        eta_from_t.cache_clear()
         point = thermo_point(t.reshape(5, 8), s)
         assert point.eta.shape == (5, 8)
         for k, t_k in enumerate(t):
