@@ -40,7 +40,6 @@ from .specfun import fermi_dirac, fermi_dirac_maxwell, sommerfeld
 from .thermo import (
     FREE,
     TRAPPED,
-    GasSpec,
     ThermoPoint,
     beta_epsf_from_eta,
     eta_from_t,
@@ -61,7 +60,6 @@ __all__ = [
     "DomainError",
     "EigenState",
     "FREE",
-    "GasSpec",
     "GravityScales",
     "NumericalError",
     "PhysicalConstants",

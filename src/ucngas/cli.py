@@ -36,8 +36,8 @@ from .thermo import (
     T_DIMLESS_MAX,
     T_DIMLESS_MIN,
     TRAPPED,
-    GasSpec,
     eta_from_t,
+    particle_number,
     thermo_point,
     thermo_point_from_eta,
 )
@@ -145,6 +145,12 @@ def _fmt(value) -> str:
     return f"{float(value):.11e}"  # 12 significant digits
 
 
+def _spin_scale(args) -> float:
+    # the library counts both spin states; --paper-literal drops the factor 2,
+    # and halving is exact in binary, so the output matches a 6 pi^2 hbar^3 normalization
+    return 0.5 if args.paper_literal else 1.0
+
+
 def _constants_meta(c: PhysicalConstants) -> dict:
     return {"m_kg": c.m, "g_mps2": c.g, "hbar_Js": c.hbar, "kB_JpK": c.kB, "h_Js": c.h}
 
@@ -217,7 +223,7 @@ def cmd_fig3(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[
     columns = ["efermi_K", "n0_cm3"]
     temps = np.geomspace(args.efermi_min_k, args.efermi_max_k, args.t_steps)
     try:
-        values = bottom_density_vs_fermi(temps, constants, paper_literal=args.paper_literal)
+        values = bottom_density_vs_fermi(temps, constants) * _spin_scale(args)
     except DomainError as exc:  # the window is positive and finite, so this is overflow
         raise _UsageError(f"--efermi-max-k is too large: {exc}") from exc
     rows = [(float(T), convert(float(n), "m^-3", "cm^-3")) for T, n in zip(temps, values)]
@@ -240,21 +246,22 @@ def cmd_report(args, constants: PhysicalConstants) -> dict:
     if not (np.isfinite(efermi_K) and efermi_K > 0.0):
         raise _UsageError(f"--efermi-k must be positive, got {efermi_K!r}")
     _check_t_flag("--t", t)
+    eps_F = efermi_K * c.kB
     try:
-        spec = GasSpec.from_fermi_energy(efermi_K * c.kB, L=1.0, constants=c)
+        particle_number(eps_F, c)
     except DomainError as exc:  # the flag is positive and finite, so N over- or underflowed
         raise _UsageError(f"--efermi-k {efermi_K!r} is out of range: {exc}") from exc
-    n0 = density(t, 0.0, spec, c, paper_literal=args.paper_literal)
+    n0 = density(t, 0.0, eps_F, c) * _spin_scale(args)
     dil = diluteness(n0, efermi_K, c)
     summary = {
         "efermi_K": efermi_K,
-        "efermi_J": spec.eps_F,
-        "efermi_peV": convert(spec.eps_F, "J", "peV"),
+        "efermi_J": eps_F,
+        "efermi_peV": convert(eps_F, "J", "peV"),
         "t": t,
         "temperature_K": t * efermi_K,
         "eta": eta_from_t(t, TRAPPED),
-        "column_height_m": spec.eps_F / (c.m * c.g),
-        "column_height_cm": convert(spec.eps_F / (c.m * c.g), "m", "cm"),
+        "column_height_m": eps_F / (c.m * c.g),
+        "column_height_cm": convert(eps_F / (c.m * c.g), "m", "cm"),
         "bottom_density_m3": n0,
         "bottom_density_cm3": convert(n0, "m^-3", "cm^-3"),
         "mean_separation_cm": convert(dil.mean_separation, "m", "cm"),

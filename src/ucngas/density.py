@@ -1,9 +1,9 @@
 """Spatial density of the trapped gas at zero and finite temperature.
 
-Densities include the spin degeneracy factor 2 by default, which is what
-number conservation requires. ``paper_literal=True`` drops that factor
-(coefficient 6 pi^2 instead of 3 pi^2 in the zero-temperature profile)
-for comparison against the halved published normalization.
+The gas is given by its Fermi energy eps_F in joules. Densities include
+the spin degeneracy factor 2, which is what number conservation
+requires; the CLI's ``--paper-literal`` halves them on output to match
+the published normalization.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .constants import PhysicalConstants, default_constants
 from .errors import DomainError
 from .specfun import FD_ETA_MAX, fermi_dirac
-from .thermo import TRAPPED, GasSpec, _check_t, eta_from_t
+from .thermo import TRAPPED, _check_t, eta_from_t
 
 # default height grid: uniform to 1.5x the zero-T column, with an
 # exponentially spaced tail extension once k_B T is comparable to eps_F
@@ -42,20 +42,18 @@ def _check_height(z: float) -> float:
     return z
 
 
-def _zero_t_denominator(c: PhysicalConstants, paper_literal: bool) -> float:
-    # 3 pi^2 hbar^3 carries the spin factor 2, which paper_literal drops
-    return (6.0 if paper_literal else 3.0) * math.pi**2 * c.hbar**3
+def _zero_t(energy: float, c: PhysicalConstants) -> float:
+    # (2 m energy)^(3/2) / (3 pi^2 hbar^3), spin factor 2 included; inf on overflow
+    try:
+        return (2.0 * c.m * energy) ** 1.5 / (3.0 * math.pi**2 * c.hbar**3)
+    except OverflowError:
+        return math.inf
 
 
 def density(
-    t: float,
-    z: float,
-    spec: GasSpec,
-    constants: PhysicalConstants | None = None,
-    *,
-    paper_literal: bool = False,
+    t: float, z: float, eps_F: float, constants: PhysicalConstants | None = None
 ) -> float:
-    """Finite-temperature local density n(t, z) in m^-3.
+    """Finite-temperature local density n(t, z) in m^-3 for Fermi energy eps_F (J).
 
     n = n(0, 0) * density_ratio(t, m g z / eps_F)
       = (2 m k_B T)^(3/2) / (2 pi^2 hbar^3) * F_{1/2}(eta - m g z / k_B T),
@@ -64,27 +62,24 @@ def density(
     """
     z = _check_height(z)
     c = constants if constants is not None else default_constants()
-    n00 = density_zero_T(0.0, spec, c, paper_literal=paper_literal)
-    return n00 * density_ratio(t, c.m * c.g * z / spec.eps_F)
+    n00 = density_zero_T(0.0, eps_F, c)
+    return n00 * density_ratio(t, c.m * c.g * z / eps_F)
 
 
-def density_zero_T(
-    z: float,
-    spec: GasSpec,
-    constants: PhysicalConstants | None = None,
-    *,
-    paper_literal: bool = False,
-) -> float:
+def density_zero_T(z: float, eps_F: float, constants: PhysicalConstants | None = None) -> float:
     """Zero-temperature profile (2m(eps_F - m g z))^(3/2) / (3 pi^2 hbar^3).
 
-    Vanishes at and above the column height eps_F/(m g).
+    Vanishes at and above the column height eps_F/(m g). Raises
+    DomainError unless eps_F is positive and finite and the bottom
+    density (2 m eps_F)^(3/2) / (3 pi^2 hbar^3) is finite.
     """
     z = _check_height(z)
     c = constants if constants is not None else default_constants()
-    local = spec.eps_F - c.m * c.g * z
-    if local <= 0.0:
-        return 0.0
-    return (2.0 * c.m * local) ** 1.5 / _zero_t_denominator(c, paper_literal)
+    eps_F = float(eps_F)
+    if not (0.0 < eps_F < math.inf and _zero_t(eps_F, c) < math.inf):
+        raise DomainError(f"eps_F = {eps_F!r} J must be positive and give a finite bottom density")
+    local = eps_F - c.m * c.g * z
+    return _zero_t(local, c) if local > 0.0 else 0.0
 
 
 def density_ratio(t, mgz_over_ef):
@@ -120,10 +115,7 @@ def density_ratio_sommerfeld(t: float) -> float:
 
 
 def bottom_density_vs_fermi(
-    fermi_temperatures_K,
-    constants: PhysicalConstants | None = None,
-    *,
-    paper_literal: bool = False,
+    fermi_temperatures_K, constants: PhysicalConstants | None = None
 ) -> np.ndarray:
     """Zero-temperature bottom density (m^-3) for each eps_F/k_B in kelvin.
 
@@ -134,7 +126,7 @@ def bottom_density_vs_fermi(
     if np.any(~np.isfinite(temps)) or np.any(temps <= 0.0):
         raise DomainError("Fermi temperatures must be positive and finite")
     with np.errstate(over="ignore"):
-        n0 = (2.0 * c.m * c.kB * temps) ** 1.5 / _zero_t_denominator(c, paper_literal)
+        n0 = (2.0 * c.m * c.kB * temps) ** 1.5 / (3.0 * math.pi**2 * c.hbar**3)
     overflow = ~np.isfinite(n0)
     if overflow.any():
         raise DomainError(

@@ -1,8 +1,10 @@
 """Finite-temperature thermodynamics of the gravitationally confined Fermi gas.
 
-All bulk quantities reduce to functions of the single dimensionless
-temperature t = k_B T / eps_F once the Fermi energy is fixed, so the
-chemical potential and energy routines below carry no unit arguments.
+A gas is fixed by its Fermi energy eps_F alone; fermi_energy and
+particle_number convert between eps_F and N, the particle count per m^2
+of floor. All bulk quantities reduce to functions of the single
+dimensionless temperature t = k_B T / eps_F, so the chemical potential
+and energy routines below carry no unit arguments.
 The routines take the exponent s of the density of states g(E) ~ E^s:
 TRAPPED (3/2) for the column, FREE (1/2) for free space at the same eps_F.
 """
@@ -32,33 +34,6 @@ FREE = 0.5  # free-space gas at the same Fermi energy
 
 
 @dataclass(frozen=True)
-class GasSpec:
-    """A confined gas: particle count, wall size, and the implied Fermi energy."""
-
-    N: float  # particle count (> 0; real-valued to admit areal densities)
-    L: float  # lateral wall size (m)
-    eps_F: float  # Fermi energy (J), consistent with N and L
-
-    @classmethod
-    def from_particle_number(
-        cls, N: float, L: float, constants: PhysicalConstants | None = None
-    ) -> "GasSpec":
-        return cls(N=float(N), L=float(L), eps_F=fermi_energy(N, L, constants))
-
-    @classmethod
-    def from_fermi_energy(
-        cls, eps_F: float, L: float, constants: PhysicalConstants | None = None
-    ) -> "GasSpec":
-        return cls(N=particle_number(eps_F, L, constants), L=float(L), eps_F=float(eps_F))
-
-    def __post_init__(self) -> None:
-        for name in ("N", "L", "eps_F"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-@dataclass(frozen=True)
 class ThermoPoint:
     """State of the gas at a reduced temperature t = k_B T / eps_F.
 
@@ -71,30 +46,37 @@ class ThermoPoint:
     u_over_nef: float  # U / (N eps_F)
 
 
-def fermi_energy(N: float, L: float, constants: PhysicalConstants | None = None) -> float:
-    """Zero-temperature Fermi energy of N particles over an L x L floor (J).
+def fermi_energy(N: float, constants: PhysicalConstants | None = None) -> float:
+    """Zero-temperature Fermi energy of N particles per m^2 of floor (J).
 
-    eps_F = (hbar^2 / 2m) * (15 pi^2 m^2 g N / (hbar^2 L^2))**(2/5),
+    eps_F = (hbar^2 / 2m) * (15 pi^2 m^2 g N / hbar^2)**(2/5),
     the N**(2/5) scaling characteristic of the linear potential.
     """
-    if not (N > 0.0 and L > 0.0 and math.isfinite(N) and math.isfinite(L)):
-        raise DomainError("N and L must be positive and finite")
+    if not (N > 0.0 and math.isfinite(N)):
+        raise DomainError(f"N must be positive and finite, got {N!r}")
     c = constants if constants is not None else default_constants()
-    packed = 15.0 * math.pi**2 * c.m**2 * c.g * N / (c.hbar**2 * L**2)
+    packed = 15.0 * math.pi**2 * c.m**2 * c.g * N / c.hbar**2
     return c.hbar**2 / (2.0 * c.m) * packed**0.4
 
 
-def particle_number(eps_F: float, L: float, constants: PhysicalConstants | None = None) -> float:
-    """Particle count giving Fermi energy ``eps_F`` over an L x L floor."""
-    if not (eps_F > 0.0 and L > 0.0 and math.isfinite(eps_F) and math.isfinite(L)):
-        raise DomainError("eps_F and L must be positive and finite")
+def particle_number(eps_F: float, constants: PhysicalConstants | None = None) -> float:
+    """Particles per m^2 of floor giving Fermi energy ``eps_F`` (J).
+
+    Raises DomainError when eps_F is not positive and finite, or when the
+    count over- or underflows a double.
+    """
+    if not (eps_F > 0.0 and math.isfinite(eps_F)):
+        raise DomainError(f"eps_F must be positive and finite, got {eps_F!r}")
     c = constants if constants is not None else default_constants()
     try:
-        return (2.0 * c.m * eps_F / c.hbar**2) ** 2.5 * c.hbar**2 * L**2 / (
+        N = (2.0 * c.m * eps_F / c.hbar**2) ** 2.5 * c.hbar**2 / (
             15.0 * math.pi**2 * c.m**2 * c.g
         )
     except OverflowError:
-        raise DomainError(f"eps_F = {eps_F!r} J overflows the particle number") from None
+        N = math.inf
+    if not (0.0 < N < math.inf):
+        raise DomainError(f"eps_F = {eps_F!r} J over- or underflows the particle number")
+    return N
 
 
 def beta_epsf_from_eta(eta, s: float = TRAPPED):
@@ -206,6 +188,12 @@ def mu_over_ef_sommerfeld(t: float) -> float:
     return 1.0 - math.pi**2 / 4.0 * t * t
 
 
+def _check_energy_order(s: float) -> None:
+    # U needs F_{s+1}; checked before any F_j work is spent on eta
+    if s + 1.0 not in FD_ORDERS:
+        raise DomainError(f"the energy needs F_(s+1) in {FD_ORDERS}, got s={s!r}")
+
+
 def _energy(t, eta, s: float):
     # np.power, not **: a float's ** calls the C library, an array's numpy's
     # own vector pow, and the two differ in the last bit
@@ -222,12 +210,14 @@ def internal_energy(t, s: float = TRAPPED):
     Limits: (s+1)/(s+2) as t -> 0, which is 5/7 trapped and 3/5 free,
     and (s+1) t in the classical regime. Takes a scalar or an array of t.
     """
+    _check_energy_order(s)
     t = _check_t(t)
     return _energy(t, eta_from_t(t, s), s)
 
 
 def thermo_point(t, s: float = TRAPPED) -> ThermoPoint:
     """Bundle eta, mu/eps_F and U/(N eps_F); fields are arrays for an array of t."""
+    _check_energy_order(s)
     t = _check_t(t)
     eta = eta_from_t(t, s)
     return ThermoPoint(t=t, eta=eta, mu_over_ef=t * eta, u_over_nef=_energy(t, eta, s))
@@ -238,6 +228,7 @@ def thermo_point_from_eta(eta, s: float = TRAPPED) -> ThermoPoint:
 
     Takes a scalar or an array of eta, like :func:`thermo_point`.
     """
+    _check_energy_order(s)
     beta_epsf = beta_epsf_from_eta(eta, s)
     if np.any(beta_epsf <= 0.0):  # F_s underflows first at the lowest eta
         raise DomainError(f"eta {float(np.min(eta))!r} maps to a vanishing beta*eps_F")

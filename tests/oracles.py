@@ -124,12 +124,12 @@ def nested_number_term(eta: float) -> float:
     return _quad(lambda z: math.sqrt(z) * inner(z), 0.0, max(eta, 0.0) + 45.0)
 
 
-def column_number(t: float, spec, constants, density_func) -> float:
-    """L^2 times the height integral of the density, by direct quadrature."""
-    z_col = spec.eps_F / (constants.m * constants.g)
+def column_number(t: float, eps_F: float, constants, density_func) -> float:
+    """Particles per m^2 of floor: the height integral of the density, by direct quadrature."""
+    z_col = eps_F / (constants.m * constants.g)
     z_max = z_col * (1.5 + 50.0 * max(t, 0.1))
     integral, _ = integrate.quad(
-        lambda z: density_func(t, z, spec, constants),
+        lambda z: density_func(t, z, eps_F, constants),
         0.0,
         z_max,
         epsabs=0.0,
@@ -137,7 +137,7 @@ def column_number(t: float, spec, constants, density_func) -> float:
         limit=400,
         points=[z_col],
     )
-    return spec.L**2 * integral
+    return integral
 
 
 def fermi_dirac_mp(j: float, eta, dps: int = 40):

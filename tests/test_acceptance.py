@@ -21,7 +21,6 @@ from scipy import integrate
 
 from ucngas import (
     FREE,
-    GasSpec,
     airy_zero,
     airy_zero_asymptotic,
     classical_turning_point,
@@ -38,6 +37,7 @@ from ucngas import (
     fermi_dirac,
     internal_energy,
     mu_over_ef,
+    particle_number,
     ratio_grid,
     wavefunction,
 )
@@ -157,10 +157,10 @@ def test_check_05_bottom_density_expansion():
 
 def test_check_06_worked_numbers_at_one_millikelvin():
     c = default_constants()
-    spec = GasSpec.from_fermi_energy(c.kB * 1e-3, 1.0, c)
-    n00_cm3 = convert(density_zero_T(0.0, spec, c), "m^-3", "cm^-3")
-    height_cm = convert(spec.eps_F / (c.m * c.g), "m", "cm")
-    report = diluteness(density_zero_T(0.0, spec, c), 1e-3, c)
+    eps_F = c.kB * 1e-3
+    n00_cm3 = convert(density_zero_T(0.0, eps_F, c), "m^-3", "cm^-3")
+    height_cm = convert(eps_F / (c.m * c.g), "m", "cm")
+    report = diluteness(density_zero_T(0.0, eps_F, c), 1e-3, c)
     sep_cm = convert(report.mean_separation, "m", "cm")
     lam_cm = convert(report.thermal_wavelength, "m", "cm")
     ok = (
@@ -179,11 +179,12 @@ def test_check_06_worked_numbers_at_one_millikelvin():
 
 def test_check_07_number_conservation():
     c = default_constants()
-    spec = GasSpec.from_fermi_energy(c.kB * 1e-3, 1.0, c)
+    eps_F = c.kB * 1e-3
+    N = particle_number(eps_F, c)
     worst = 0.0
     for t in (0.01, 0.1, 0.5, 1.0, 5.0):
-        total = column_number(t, spec, c, density)
-        worst = max(worst, abs(total / spec.N - 1.0))
+        total = column_number(t, eps_F, c, density)
+        worst = max(worst, abs(total / N - 1.0))
     ok = worst <= 1e-7
     _verdict("check 07", ok, f"column integral vs N, worst rel err {worst:.2e}")
 

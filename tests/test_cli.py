@@ -276,10 +276,14 @@ def test_fig3_power_law(tmp_path):
 
 def test_fig3_literal_flag_halves(tmp_path):
     args = ["fig3", "--efermi-min-k", "1e-3", "--efermi-max-k", "1e-1", "--t-steps", "3"]
-    _, full = run_cli(args, tmp_path, "full.csv")
-    _, literal = run_cli([*args, "--paper-literal"], tmp_path, "lit.csv")
-    for row_f, row_l in zip(parse_csv(full)[1], parse_csv(literal)[1]):
-        assert float(row_l[1]) == pytest.approx(0.5 * float(row_f[1]), rel=1e-10)
+    args += ["--format", "json"]
+    _, full = run_cli(args, tmp_path, "full.json")
+    _, literal = run_cli([*args, "--paper-literal"], tmp_path, "lit.json")
+    rows_f, rows_l = json.loads(full)["rows"], json.loads(literal)["rows"]
+    assert len(rows_l) == len(rows_f) == 3
+    # halving is exact in binary, so the literal column is bit for bit half
+    for (t_f, n_f), (t_l, n_l) in zip(rows_f, rows_l):
+        assert t_l == t_f and n_l == 0.5 * n_f
 
 
 # ---- JSON ----
@@ -330,9 +334,10 @@ def test_report_literal_flag(tmp_path):
     _, lit = run_cli(
         ["report", "--efermi-k", "1e-3", "--t", "1e-3", "--paper-literal"], tmp_path, "l.json"
     )
-    n_full = json.loads(full)["summary"]["bottom_density_m3"]
-    n_lit = json.loads(lit)["summary"]["bottom_density_m3"]
-    assert n_lit == pytest.approx(0.5 * n_full, rel=1e-12)
+    full, lit = json.loads(full)["summary"], json.loads(lit)["summary"]
+    assert lit["paper_literal"] is True and full["paper_literal"] is False
+    for key in ("bottom_density_m3", "bottom_density_cm3"):
+        assert lit[key] == 0.5 * full[key]
 
 
 def test_report_deterministic(tmp_path):

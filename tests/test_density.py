@@ -1,6 +1,7 @@
 """Spatial profiles, bottom density, number conservation, diluteness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy import integrate
 
 from ucngas import (
     DomainError,
-    GasSpec,
     bottom_density_vs_fermi,
     convert,
     default_constants,
@@ -18,59 +18,48 @@ from ucngas import (
     density_zero_T,
     diluteness,
     eta_from_t,
+    particle_number,
     ratio_grid,
 )
 from oracles import column_number
 
 C = default_constants()
-SPEC_1MK = GasSpec.from_fermi_energy(C.kB * 1e-3, 1.0, C)
+EPS_1MK = C.kB * 1e-3
+N_1MK = particle_number(EPS_1MK, C)  # per m^2 of floor
 
 
 def test_zero_t_bottom_density_one_millikelvin():
-    n00 = density_zero_T(0.0, SPEC_1MK, C)
+    n00 = density_zero_T(0.0, EPS_1MK, C)
     assert convert(n00, "m^-3", "cm^-3") == pytest.approx(9.057627e15, rel=1e-6)
 
 
 def test_zero_t_profile_shape():
-    z_col = SPEC_1MK.eps_F / (C.m * C.g)
+    z_col = EPS_1MK / (C.m * C.g)
     assert z_col == pytest.approx(0.840556, abs=1e-5)
-    n_half = density_zero_T(0.5 * z_col, SPEC_1MK, C)
-    assert n_half == pytest.approx(0.5**1.5 * density_zero_T(0.0, SPEC_1MK, C), rel=1e-12)
-    assert density_zero_T(z_col, SPEC_1MK, C) == 0.0
-    assert density_zero_T(2.0 * z_col, SPEC_1MK, C) == 0.0
-
-
-def test_zero_t_literal_flag_halves():
-    full = density_zero_T(0.0, SPEC_1MK, C)
-    assert density_zero_T(0.0, SPEC_1MK, C, paper_literal=True) == pytest.approx(
-        0.5 * full, rel=1e-14
-    )
+    n_half = density_zero_T(0.5 * z_col, EPS_1MK, C)
+    assert n_half == pytest.approx(0.5**1.5 * density_zero_T(0.0, EPS_1MK, C), rel=1e-12)
+    assert density_zero_T(z_col, EPS_1MK, C) == 0.0
+    assert density_zero_T(2.0 * z_col, EPS_1MK, C) == 0.0
 
 
 def test_zero_t_number_conservation():
-    z_col = SPEC_1MK.eps_F / (C.m * C.g)
+    z_col = EPS_1MK / (C.m * C.g)
     integral, _ = integrate.quad(
-        lambda z: density_zero_T(z, SPEC_1MK, C), 0.0, z_col, epsabs=0.0, epsrel=1e-12
+        lambda z: density_zero_T(z, EPS_1MK, C), 0.0, z_col, epsabs=0.0, epsrel=1e-12
     )
-    assert SPEC_1MK.L**2 * integral == pytest.approx(SPEC_1MK.N, rel=1e-10)
+    assert integral == pytest.approx(N_1MK, rel=1e-10)
 
 
 def test_finite_t_number_conservation_single():
-    total = column_number(0.3, SPEC_1MK, C, density)
-    assert total == pytest.approx(SPEC_1MK.N, rel=1e-7)
-
-
-def test_literal_flag_halves_particle_count():
-    literal = lambda t, z, spec, c: density(t, z, spec, c, paper_literal=True)
-    total = column_number(0.3, SPEC_1MK, C, literal)
-    assert total == pytest.approx(0.5 * SPEC_1MK.N, rel=1e-6)
+    total = column_number(0.3, EPS_1MK, C, density)
+    assert total == pytest.approx(N_1MK, rel=1e-7)
 
 
 def test_density_matches_zero_t_profile_when_cold():
-    z_col = SPEC_1MK.eps_F / (C.m * C.g)
+    z_col = EPS_1MK / (C.m * C.g)
     for frac in (0.0, 0.45, 0.9):
-        cold = density(1e-4, frac * z_col, SPEC_1MK, C)
-        frozen = density_zero_T(frac * z_col, SPEC_1MK, C)
+        cold = density(1e-4, frac * z_col, EPS_1MK, C)
+        frozen = density_zero_T(frac * z_col, EPS_1MK, C)
         assert cold == pytest.approx(frozen, rel=1e-2)
 
 
@@ -81,10 +70,10 @@ def test_density_ratio_cold_limit():
 
 
 def test_density_decays_to_zero_above_the_column():
-    z_col = SPEC_1MK.eps_F / (C.m * C.g)
-    assert density(1e-3, 20.0, SPEC_1MK, C) == 0.0  # eta - m g z / kT is about -2.3e4
+    z_col = EPS_1MK / (C.m * C.g)
+    assert density(1e-3, 20.0, EPS_1MK, C) == 0.0  # eta - m g z / kT is about -2.3e4
     assert density_ratio(1e-3, 30.0) == 0.0
-    ns = [density(1e-3, frac * z_col, SPEC_1MK, C) for frac in np.linspace(0.9, 30.0, 60)]
+    ns = [density(1e-3, frac * z_col, EPS_1MK, C) for frac in np.linspace(0.9, 30.0, 60)]
     assert all(b <= a for a, b in zip(ns, ns[1:]))
     assert ns[0] > 0.0 and ns[-1] == 0.0
 
@@ -161,8 +150,8 @@ def test_ratio_grid_layout():
     with pytest.raises(DomainError):
         ratio_grid(0.1, 1)
     # the density on the grid's heights is nonnegative and non-increasing
-    z_col = SPEC_1MK.eps_F / (C.m * C.g)
-    ns = np.array([density(0.2, z_col * x, SPEC_1MK, C) for x in ratio_grid(0.2, 50)])
+    z_col = EPS_1MK / (C.m * C.g)
+    ns = np.array([density(0.2, z_col * x, EPS_1MK, C) for x in ratio_grid(0.2, 50)])
     assert np.all(ns >= 0.0)
     assert np.all(np.diff(ns) <= 0.0)
 
@@ -171,8 +160,6 @@ def test_bottom_density_curve():
     values = bottom_density_vs_fermi([1e-3, 4e-3], C)
     assert convert(values[0], "m^-3", "cm^-3") == pytest.approx(9.057627e15, rel=1e-6)
     assert values[1] == pytest.approx(8.0 * values[0], rel=1e-12)  # 3/2 power law
-    literal = bottom_density_vs_fermi([1e-3, 4e-3], C, paper_literal=True)
-    assert literal[0] == pytest.approx(0.5 * values[0], rel=1e-14)
     with pytest.raises(DomainError):
         bottom_density_vs_fermi([1e-3, -1e-3], C)
     # (2 m k_B T)^(3/2) overflows: an error naming the temperature, not an inf
@@ -188,7 +175,7 @@ def test_diluteness_dilute_storage_numbers():
 
 
 def test_diluteness_degenerate_numbers():
-    n00 = density_zero_T(0.0, SPEC_1MK, C)
+    n00 = density_zero_T(0.0, EPS_1MK, C)
     report = diluteness(n00, 1e-3, C)
     assert convert(report.mean_separation, "m", "cm") == pytest.approx(4.797281e-6, rel=1e-6)
     assert report.degenerate
@@ -205,9 +192,15 @@ def test_thermal_wavelength_scaling():
 
 def test_density_validation():
     with pytest.raises(DomainError):
-        density(0.1, -1e-9, SPEC_1MK, C)
+        density(0.1, -1e-9, EPS_1MK, C)
+    # an eps_F that is not positive, not finite, or overflows the bottom
+    # density is an error naming it, never an inf
+    for eps_F in (0.0, -1.0, math.inf, 1e200):
+        for call in (lambda: density_zero_T(0.0, eps_F, C), lambda: density(0.1, 0.0, eps_F, C)):
+            with pytest.raises(DomainError, match=re.escape(f"eps_F = {eps_F!r} J")):
+                call()
     with pytest.raises(DomainError):
-        density(1e-5, 0.0, SPEC_1MK, C)  # below the solver range
+        density(1e-5, 0.0, EPS_1MK, C)  # below the solver range
     with pytest.raises(DomainError):
         density_ratio(0.1, -0.5)
     with pytest.raises(DomainError):

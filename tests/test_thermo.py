@@ -1,6 +1,7 @@
 """Equation of state: Fermi energy, chemical potential, internal energy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ucngas import (
     FREE,
     NumericalError,
     DomainError,
-    GasSpec,
     beta_epsf_from_eta,
     default_constants,
     eta_from_t,
@@ -34,37 +34,30 @@ MAXWELL_TAIL = 1.0 / (2.5 * math.gamma(2.5))
 
 
 def test_fermi_energy_particle_number_scaling():
-    base = fermi_energy(1e20, 1.0)
-    assert fermi_energy(32e20, 1.0) == pytest.approx(4.0 * base, rel=1e-12)
-    assert fermi_energy(1e20, 2.0) == pytest.approx(base * 4.0 ** (-2.0 / 5.0), rel=1e-12)
+    base = fermi_energy(1e20)
+    assert fermi_energy(32e20) == pytest.approx(4.0 * base, rel=1e-12)
 
 
 def test_fermi_energy_round_trip():
     c = default_constants()
     for N in (1e18, 3.045377e21):
-        eps = fermi_energy(N, 2.0, c)
-        assert particle_number(eps, 2.0, c) == pytest.approx(N, rel=1e-10)
+        eps = fermi_energy(N, c)
+        assert particle_number(eps, c) == pytest.approx(N, rel=1e-10)
 
 
 def test_one_millikelvin_column():
     c = default_constants()
-    N = particle_number(c.kB * 1e-3, 1.0, c)
-    assert N == pytest.approx(3.045377e21, rel=1e-6)  # areal density over 1 m^2
+    N = particle_number(c.kB * 1e-3, c)
+    assert N == pytest.approx(3.045377e21, rel=1e-6)  # per m^2 of floor
 
 
 def test_gas_spec_consistency():
-    spec = GasSpec.from_particle_number(1e20, 0.5)
-    assert spec.eps_F == pytest.approx(fermi_energy(1e20, 0.5), rel=1e-14)
-    spec2 = GasSpec.from_fermi_energy(spec.eps_F, 0.5)
-    assert spec2.N == pytest.approx(1e20, rel=1e-10)
     with pytest.raises(DomainError):
-        GasSpec(N=-1.0, L=1.0, eps_F=1e-30)
-    with pytest.raises(DomainError):
-        fermi_energy(0.0, 1.0)
+        fermi_energy(0.0)
     # particle numbers that over- or underflow a double are domain errors too
     for eps_F in (1e127, 1e277, 1e-303):
-        with pytest.raises(DomainError):
-            GasSpec.from_fermi_energy(eps_F, 1.0)
+        with pytest.raises(DomainError, match=re.escape(f"eps_F = {eps_F!r} J")):
+            particle_number(eps_F)
 
 
 def test_beta_epsf_at_eta_zero():
@@ -112,9 +105,24 @@ def test_eta_residual_error_names_t_and_s(monkeypatch):
         mu_over_ef(np.array([0.123, 0.4]))
 
 
-def test_eta_solve_rejects_exponents_without_a_derivative():
+def test_eta_solve_rejects_exponents_without_a_derivative(monkeypatch):
     with pytest.raises(DomainError, match=r"s=-0\.5"):
         eta_from_t(0.5, -0.5)
+    assert eta_from_t(0.5, 2.5) > 0.0  # F_{5/2} and F_{3/2} are there
+
+    # the energy needs F_{7/2}, which is missing: refused before any eta solve
+    def no_solve(t, s):
+        raise AssertionError(f"eta solve reached for s={s!r}")
+
+    monkeypatch.setattr(thermo, "_solve_eta", no_solve)
+    t = np.geomspace(1e-4, 1e3, 401)
+    for call in (
+        lambda: thermo_point(t, 2.5),
+        lambda: internal_energy(t, 2.5),
+        lambda: thermo_point_from_eta(np.linspace(-5.0, 5.0, 11), 2.5),
+    ):
+        with pytest.raises(DomainError, match=r"s=2\.5"):
+            call()
 
 
 def test_vector_eta_solve_matches_mpmath_across_the_window():
