@@ -9,6 +9,13 @@ the same tolerance, and prints both on its verdict line.
 test_series_oracle.py derives the same coefficients from mpmath alone.
 Checks 11 and 11b sum the particle number over the discrete Airy levels
 and pin how much the continuum density of states overcounts it.
+
+The golden tables in golden/ are compared byte for byte. The JSON ones
+carry every printed number at full precision, so a 1-ulp change anywhere
+on the path from constants to output fails them. Regeneration rule: a
+stored value may move only toward mpmath. The change that moves it shows
+that, as test_golden_fig2_rows_moved_toward_mpmath does for the one fig2
+row the batched F_j engine moved, and lists the moved values in CHANGES.md.
 """
 
 import math
@@ -55,6 +62,16 @@ GOLDEN_CASES = [
         "fig3.csv",
         ["fig3", "--efermi-min-k", "1e-6", "--efermi-max-k", "1e-1", "--t-steps", "9"],
     ),
+    # full precision, every printed bit of each subcommand; fig2 reaches all
+    # three F_j branches (eta <= -35, the middle, eta >= 80) and both grid forms
+    ("eigen.json", ["eigen", "--n-max", "1000", "--format", "json"]),
+    ("report.json", ["report", "--efermi-k", "1e-3"]),
+    ("report_literal.json", ["report", "--efermi-k", "4e-3", "--t", "0.2", "--paper-literal"]),
+    ("fig1.json", ["fig1", "--format", "json"]),
+    ("fig1_parametric.json", ["fig1", "--parametric", "--format", "json"]),
+    ("fig2.json", ["fig2", "--t-steps", "20", "--z-steps", "100", "--format", "json"]),
+    ("fig3.json", ["fig3", "--format", "json"]),
+    ("fig3_literal.json", ["fig3", "--paper-literal", "--t-steps", "400", "--format", "json"]),
 ]
 
 
