@@ -20,7 +20,6 @@ from .density import (
     bottom_density_vs_fermi,
     density,
     density_ratio,
-    density_ratio_sommerfeld,
     density_zero_T,
     diluteness,
     ratio_grid,
@@ -36,7 +35,7 @@ from .eigen import (
     wavefunction,
 )
 from .errors import DimensionMismatchError, DomainError, NumericalError
-from .specfun import fermi_dirac, fermi_dirac_maxwell, sommerfeld
+from .specfun import fermi_dirac
 from .thermo import (
     FREE,
     TRAPPED,
@@ -44,9 +43,6 @@ from .thermo import (
     beta_epsf_from_eta,
     eta_from_t,
     fermi_energy,
-    internal_energy,
-    mu_over_ef,
-    mu_over_ef_sommerfeld,
     particle_number,
     thermo_point,
     thermo_point_from_eta,
@@ -75,7 +71,6 @@ __all__ = [
     "default_constants",
     "density",
     "density_ratio",
-    "density_ratio_sommerfeld",
     "density_zero_T",
     "derive_scales",
     "diluteness",
@@ -84,14 +79,9 @@ __all__ = [
     "eigen_state",
     "eta_from_t",
     "fermi_dirac",
-    "fermi_dirac_maxwell",
     "fermi_energy",
-    "internal_energy",
-    "mu_over_ef",
-    "mu_over_ef_sommerfeld",
     "particle_number",
     "ratio_grid",
-    "sommerfeld",
     "thermo_point",
     "thermo_point_from_eta",
     "wavefunction",

@@ -101,19 +101,6 @@ def density_ratio(t, mgz_over_ef):
     return 1.5 * np.power(t, 1.5) * fermi_dirac(0.5, eta)
 
 
-def density_ratio_sommerfeld(t: float) -> float:
-    """Low-temperature expansion of the bottom-density ratio.
-
-    The expansion consistent with the exact integrals is 1 - (pi^2/4) t^2
-    (remainder below 5 t^4 for t <= 0.1). The widely quoted
-    1 - (5 pi^2/8) t^2 has a t^2 coefficient 2.5 times too large.
-    """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"reduced temperature must be nonnegative, got {t!r}")
-    return 1.0 - math.pi**2 / 4.0 * t * t
-
-
 def bottom_density_vs_fermi(
     fermi_temperatures_K, constants: PhysicalConstants | None = None
 ) -> np.ndarray:

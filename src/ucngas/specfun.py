@@ -57,6 +57,12 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=-1)[..., -1]
 
 
+def _fd_maxwell(j: float, eta: np.ndarray) -> np.ndarray:
+    # Gamma(j+1) * sum over k <= 3 of (-1)^(k+1) e^(k eta) / k^(j+1)
+    acc = np.exp(eta) - np.exp(2.0 * eta) / 2.0 ** (j + 1.0) + np.exp(3.0 * eta) / 3.0 ** (j + 1.0)
+    return math.gamma(j + 1.0) * acc
+
+
 def _fd_middle(j: float, eta: np.ndarray) -> np.ndarray:
     # F_j = integral of 2 u^(2j+1) / (exp(u^2 - eta) + 1) over u >= 0,
     # cut at u^2 = max(eta, 0) + 50 where the integrand is e^-50 of its peak
@@ -107,39 +113,13 @@ def fermi_dirac(j: float, eta):
     out = np.empty_like(flat)
     maxwell = flat <= _FD_SERIES_CUTOFF
     degenerate = flat >= _FD_DEGENERATE
-    out[maxwell] = fermi_dirac_maxwell(j, flat[maxwell])
-    for branch, mask in ((_fd_middle, ~(maxwell | degenerate)), (_fd_degenerate, degenerate)):
+    for branch, mask in (
+        (_fd_maxwell, maxwell),
+        (_fd_middle, ~(maxwell | degenerate)),
+        (_fd_degenerate, degenerate),
+    ):
         index = np.flatnonzero(mask)
         for start in range(0, index.size, _FD_BLOCK):
             block = index[start : start + _FD_BLOCK]
             out[block] = branch(j, flat[block])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
-def fermi_dirac_maxwell(j: float, eta):
-    """Nondegenerate (eta << 0) series Gamma(j+1) * sum_{k<=3} (-1)^(k+1) e^(k eta) / k^(j+1).
-
-    Takes a scalar or an array of eta, like :func:`fermi_dirac`.
-    """
-    j = _check_order(j)
-    eta = np.asarray(eta, dtype=float)
-    acc = np.exp(eta) - np.exp(2.0 * eta) / 2.0 ** (j + 1.0) + np.exp(3.0 * eta) / 3.0 ** (j + 1.0)
-    value = math.gamma(j + 1.0) * acc
-    return float(value) if value.ndim == 0 else value
-
-
-def sommerfeld(j: float, eta: float) -> float:
-    """Two-term degenerate expansion of F_j for eta > 0.
-
-    F_j(eta) ~ eta**(j+1)/(j+1) + (pi**2/6) * j * eta**(j-1), i.e.
-    2 eta^(1/2) - (pi^2/12) eta^(-3/2) for j = -1/2,
-    (2/3) eta^(3/2) + (pi^2/12) eta^(-1/2) for j = 1/2,
-    (2/5) eta^(5/2) + (pi^2/4) eta^(1/2) for j = 3/2,
-    (2/7) eta^(7/2) + (5 pi^2/12) eta^(3/2) for j = 5/2.
-    The remainder falls off like eta**-4 relative to the leading term.
-    """
-    j = _check_order(j)
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"the degenerate expansion needs eta > 0, got {eta!r}")
-    return eta ** (j + 1.0) / (j + 1.0) + (math.pi**2 / 6.0) * j * eta ** (j - 1.0)

@@ -3,8 +3,8 @@
 A gas is fixed by its Fermi energy eps_F alone; fermi_energy and
 particle_number convert between eps_F and N, the particle count per m^2
 of floor. All bulk quantities reduce to functions of the single
-dimensionless temperature t = k_B T / eps_F, so the chemical potential
-and energy routines below carry no unit arguments.
+dimensionless temperature t = k_B T / eps_F, so eta_from_t and
+thermo_point carry no unit arguments.
 The routines take the exponent s of the density of states g(E) ~ E^s:
 TRAPPED (3/2) for the column, FREE (1/2) for free space at the same eps_F.
 """
@@ -165,29 +165,6 @@ def eta_from_t(t, s: float = TRAPPED):
 eta_from_t.cache_clear = lambda: None
 
 
-def mu_over_ef(t, s: float = TRAPPED):
-    """Chemical potential over Fermi energy, mu/eps_F = t * eta(t).
-
-    Takes a scalar or an array of t.
-    """
-    t = _check_t(t)
-    return t * eta_from_t(t, s)
-
-
-def mu_over_ef_sommerfeld(t: float) -> float:
-    """Low-temperature expansion of mu/eps_F.
-
-    The expansion consistent with the exact integrals is
-    1 - (pi^2/4) t^2; its curvature is 3 times the free-gas pi^2/12.
-    The widely quoted 1 - (pi^2/2) t^2 (curvature ratio 6) overstates
-    the coefficient by a factor of 2.
-    """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"reduced temperature must be nonnegative, got {t!r}")
-    return 1.0 - math.pi**2 / 4.0 * t * t
-
-
 def _check_energy_order(s: float) -> None:
     # U needs F_{s+1}; checked before any F_j work is spent on eta
     if s + 1.0 not in FD_ORDERS:
@@ -200,23 +177,17 @@ def _energy(t, eta, s: float):
     return (s + 1.0) * np.power(t, s + 2.0) * fermi_dirac(s + 1.0, eta)
 
 
-def internal_energy(t, s: float = TRAPPED):
-    """Internal energy per particle in Fermi-energy units, U/(N eps_F).
+def thermo_point(t, s: float = TRAPPED) -> ThermoPoint:
+    """The gas at reduced temperature t: eta, mu/eps_F = t eta and U/(N eps_F).
 
-    Equals (s+1) t^(s+2) F_{s+1}(eta). For the trapped gas this is
+    U/(N eps_F) = (s+1) t^(s+2) F_{s+1}(eta). For the trapped gas this is
     (15/4) (beta eps_F)^(-7/2) [(2/5) F_{5/2}(eta) + D(eta)], where D is
     the lateral-vertical cross term; D reduces exactly to
     (4/15) F_{5/2}(eta), so the bracket collapses to (2/3) F_{5/2}(eta).
     Limits: (s+1)/(s+2) as t -> 0, which is 5/7 trapped and 3/5 free,
-    and (s+1) t in the classical regime. Takes a scalar or an array of t.
+    and (s+1) t in the classical regime. Takes a scalar or an array of t;
+    the fields are arrays of its shape for an array.
     """
-    _check_energy_order(s)
-    t = _check_t(t)
-    return _energy(t, eta_from_t(t, s), s)
-
-
-def thermo_point(t, s: float = TRAPPED) -> ThermoPoint:
-    """Bundle eta, mu/eps_F and U/(N eps_F); fields are arrays for an array of t."""
     _check_energy_order(s)
     t = _check_t(t)
     eta = eta_from_t(t, s)

@@ -110,6 +110,20 @@ def fermi_dirac_quad(j: float, eta: float) -> float:
     total += part(lambda u: (eta - math.log(u)) ** j / (1.0 + u), 0.0, u_top)
     return total
 
+
+def sommerfeld(j: float, eta: float) -> float:
+    """Two-term degenerate expansion of F_j for eta > 0.
+
+    F_j(eta) ~ eta**(j+1)/(j+1) + (pi**2/6) * j * eta**(j-1), i.e.
+    2 eta^(1/2) - (pi^2/12) eta^(-3/2) for j = -1/2,
+    (2/3) eta^(3/2) + (pi^2/12) eta^(-1/2) for j = 1/2,
+    (2/5) eta^(5/2) + (pi^2/4) eta^(1/2) for j = 3/2,
+    (2/7) eta^(7/2) + (5 pi^2/12) eta^(3/2) for j = 5/2.
+    The remainder falls off like eta**-4 relative to the leading term.
+    """
+    return eta ** (j + 1.0) / (j + 1.0) + (math.pi**2 / 6.0) * j * eta ** (j - 1.0)
+
+
 def nested_cross_term(eta: float) -> float:
     """Nested quadrature of the 2-D integral with kernel z^(1/2) * v."""
     v_span = lambda z: max(eta - z, 0.0) + 45.0

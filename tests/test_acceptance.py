@@ -42,10 +42,9 @@ from ucngas import (
     eigen_state,
     eta_from_t,
     fermi_dirac,
-    internal_energy,
-    mu_over_ef,
     particle_number,
     ratio_grid,
+    thermo_point,
     wavefunction,
 )
 from ucngas.cli import main
@@ -120,8 +119,8 @@ def test_check_02_ground_state_energy():
 
 def test_check_03_chemical_potential_curvature():
     ts = np.linspace(0.01, 0.05, 9)
-    drop = np.array([1.0 - mu_over_ef(t) for t in ts])
-    drop_free = np.array([1.0 - mu_over_ef(t, FREE) for t in ts])
+    drop = 1.0 - thermo_point(ts).mu_over_ef
+    drop_free = 1.0 - thermo_point(ts, FREE).mu_over_ef
     coeff = float(np.sum(drop * ts**2) / np.sum(ts**4))
     coeff_free = float(np.sum(drop_free * ts**2) / np.sum(ts**4))
     ratio = coeff / coeff_free
@@ -141,8 +140,8 @@ def test_check_03_chemical_potential_curvature():
 
 
 def test_check_04_zero_temperature_energy():
-    u = internal_energy(1e-3)
-    u_free = internal_energy(1e-3, FREE)
+    u = thermo_point(1e-3).u_over_nef
+    u_free = thermo_point(1e-3, FREE).u_over_nef
     ok = abs(u - 5.0 / 7.0) <= 1e-4 and abs(u_free - 3.0 / 5.0) <= 1e-4
     _verdict(
         "check 04",
@@ -251,7 +250,7 @@ def test_check_10a_barometric_profile():
 
 
 def test_check_10b_classical_energy_slope():
-    slope = internal_energy(100.0) / 100.0
+    slope = thermo_point(100.0).u_over_nef / 100.0
     fits = lambda target: abs(slope / target - 1.0) <= 0.005
     # (s+1) = Gamma(7/2)/Gamma(5/2): 3/2 kT kinetic plus kT potential energy
     quoted_out = not fits(3.5)
@@ -319,17 +318,14 @@ def test_check_11b_discrete_levels_finite_temperature():
 
 def test_fig1_curve_properties():
     ts = np.geomspace(0.01, 2.0, 12)
-    mu = [mu_over_ef(t) for t in ts]
-    u = [internal_energy(t) for t in ts]
-    mu_free = [mu_over_ef(t, FREE) for t in ts]
-    u_free = [internal_energy(t, FREE) for t in ts]
-    ok = (
-        all(b < a for a, b in zip(mu, mu[1:]))
-        and all(b > a for a, b in zip(u, u[1:]))
-        and all(b < a for a, b in zip(mu_free, mu_free[1:]))
-        and all(b > a for a, b in zip(u_free, u_free[1:]))
-        and all(g < f for g, f in zip(mu, mu_free))
-        and all(g > f for g, f in zip(u, u_free))
+    gas, free = thermo_point(ts), thermo_point(ts, FREE)
+    ok = bool(
+        np.all(np.diff(gas.mu_over_ef) < 0.0)
+        and np.all(np.diff(gas.u_over_nef) > 0.0)
+        and np.all(np.diff(free.mu_over_ef) < 0.0)
+        and np.all(np.diff(free.u_over_nef) > 0.0)
+        and np.all(gas.mu_over_ef < free.mu_over_ef)
+        and np.all(gas.u_over_nef > free.u_over_nef)
     )
     _verdict(
         "fig1",

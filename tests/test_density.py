@@ -14,7 +14,6 @@ from ucngas import (
     default_constants,
     density,
     density_ratio,
-    density_ratio_sommerfeld,
     density_zero_T,
     diluteness,
     eta_from_t,
@@ -97,19 +96,13 @@ def test_density_ratio_bottom_reference():
     assert density_ratio(1e-4, 0.0) == pytest.approx(1.0, abs=1e-7)
 
 
-def test_expansion_helper_values():
-    assert density_ratio_sommerfeld(0.0) == 1.0
-    assert density_ratio_sommerfeld(0.05) == pytest.approx(
-        1.0 - math.pi**2 / 4.0 * 0.0025, rel=1e-15
-    )
-
-
 def test_bottom_ratio_matches_expansion_to_fourth_order():
+    # 1 - (pi^2/4) t^2, the t^2 coefficient that check 05 pins
+    gap = lambda t: abs(density_ratio(t, 0.0) - (1.0 - math.pi**2 / 4.0 * t * t))
     for t in (0.02, 0.04, 0.06, 0.08, 0.1):
-        gap = abs(density_ratio(t, 0.0) - density_ratio_sommerfeld(t))
-        assert gap <= 5.0 * t**4
+        assert gap(t) <= 5.0 * t**4
     # the remainder really is fourth order, not noise
-    assert abs(density_ratio(0.1, 0.0) - density_ratio_sommerfeld(0.1)) >= 2.0 * 0.1**4
+    assert gap(0.1) >= 2.0 * 0.1**4
 
 
 def test_bottom_ratio_classical_decay():

@@ -16,9 +16,6 @@ from ucngas import (
     eta_from_t,
     fermi_dirac,
     fermi_energy,
-    internal_energy,
-    mu_over_ef,
-    mu_over_ef_sommerfeld,
     particle_number,
     thermo_point,
     thermo_point_from_eta,
@@ -102,7 +99,7 @@ def test_eta_residual_error_names_t_and_s(monkeypatch):
     with pytest.raises(NumericalError, match=r"t=0\.123, s=0\.5"):
         eta_from_t(0.123, FREE)
     with pytest.raises(NumericalError, match=r"t=0\.123, s=1\.5"):
-        mu_over_ef(np.array([0.123, 0.4]))
+        thermo_point(np.array([0.123, 0.4]))
 
 
 def test_eta_solve_rejects_exponents_without_a_derivative(monkeypatch):
@@ -118,7 +115,6 @@ def test_eta_solve_rejects_exponents_without_a_derivative(monkeypatch):
     t = np.geomspace(1e-4, 1e3, 401)
     for call in (
         lambda: thermo_point(t, 2.5),
-        lambda: internal_energy(t, 2.5),
         lambda: thermo_point_from_eta(np.linspace(-5.0, 5.0, 11), 2.5),
     ):
         with pytest.raises(DomainError, match=r"s=2\.5"):
@@ -146,10 +142,11 @@ def test_thermo_arrays_match_scalars_bit_for_bit():
             scalar = thermo_point(float(t_k), s)
             assert type(scalar.eta) is float
             assert point.eta.flat[k] == scalar.eta
-            assert point.mu_over_ef.flat[k] == scalar.mu_over_ef == mu_over_ef(float(t_k), s)
-            assert point.u_over_nef.flat[k] == scalar.u_over_nef == internal_energy(float(t_k), s)
-        assert np.array_equal(mu_over_ef(t, s), point.mu_over_ef.ravel())
-        assert np.array_equal(internal_energy(t, s), point.u_over_nef.ravel())
+            assert point.mu_over_ef.flat[k] == scalar.mu_over_ef
+            assert point.u_over_nef.flat[k] == scalar.u_over_nef
+        flat = thermo_point(t, s)
+        assert np.array_equal(flat.mu_over_ef, point.mu_over_ef.ravel())
+        assert np.array_equal(flat.u_over_nef, point.u_over_nef.ravel())
     etas = np.linspace(-20.0, 200.0, 23)
     swept = thermo_point_from_eta(etas)
     betas = beta_epsf_from_eta(etas)
@@ -160,7 +157,7 @@ def test_thermo_arrays_match_scalars_bit_for_bit():
 
 def test_thermo_array_rejects_any_out_of_window_t():
     with pytest.raises(DomainError, match="got 2000.0"):
-        mu_over_ef(np.array([0.5, 2.0e3]))
+        thermo_point(np.array([0.5, 2.0e3]))
 
 
 def test_eta_maxwell_tail():
@@ -175,53 +172,50 @@ def test_eta_domain():
 
 
 def test_mu_reference_values():
-    assert mu_over_ef(0.05) == pytest.approx(0.9938265398410556, rel=1e-9)
-    assert mu_over_ef(0.1) == pytest.approx(0.9752533676934819, rel=1e-9)
-    assert mu_over_ef(1e-3) == pytest.approx(1.0, abs=1e-5)
+    assert thermo_point(0.05).mu_over_ef == pytest.approx(0.9938265398410556, rel=1e-9)
+    assert thermo_point(0.1).mu_over_ef == pytest.approx(0.9752533676934819, rel=1e-9)
+    assert thermo_point(1e-3).mu_over_ef == pytest.approx(1.0, abs=1e-5)
 
 
 def test_mu_strictly_decreasing():
     grid = np.geomspace(1e-3, 10.0, 15)
-    values = [mu_over_ef(t) for t in grid]
+    values = [thermo_point(t).mu_over_ef for t in grid]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_mu_expansion_helper():
-    assert mu_over_ef_sommerfeld(0.0) == 1.0
-    assert mu_over_ef_sommerfeld(0.1) == pytest.approx(1.0 - math.pi**2 / 4.0 * 0.01, rel=1e-15)
-
-
 def test_mu_matches_expansion_to_fourth_order():
+    # 1 - (pi^2/4) t^2: the Sommerfeld curvature (pi^2/6) s at s = 3/2
     for t in (0.02, 0.04, 0.06, 0.08, 0.1):
-        assert abs(mu_over_ef(t) - mu_over_ef_sommerfeld(t)) <= 5.0 * t**4
+        expected = 1.0 - math.pi**2 / 4.0 * t * t
+        assert abs(thermo_point(t).mu_over_ef - expected) <= 5.0 * t**4
 
 
 def test_internal_energy_degenerate_limit():
-    assert internal_energy(1e-3) == pytest.approx(5.0 / 7.0, abs=1e-4)
-    assert internal_energy(1e-4) == pytest.approx(5.0 / 7.0, abs=1e-6)
+    assert thermo_point(1e-3).u_over_nef == pytest.approx(5.0 / 7.0, abs=1e-4)
+    assert thermo_point(1e-4).u_over_nef == pytest.approx(5.0 / 7.0, abs=1e-6)
 
 
 def test_internal_energy_reference_value():
-    assert internal_energy(1.0) == pytest.approx(2.564081517126267, rel=1e-9)
+    assert thermo_point(1.0).u_over_nef == pytest.approx(2.564081517126267, rel=1e-9)
 
 
 def test_internal_energy_classical_plateau():
     # u/t -> Gamma(7/2)/Gamma(5/2) = 5/2 in the nondegenerate regime
-    assert internal_energy(100.0) / 100.0 == pytest.approx(2.5, rel=1e-5)
-    assert internal_energy(500.0) / 500.0 == pytest.approx(2.5, rel=1e-6)
+    assert thermo_point(100.0).u_over_nef / 100.0 == pytest.approx(2.5, rel=1e-5)
+    assert thermo_point(500.0).u_over_nef / 500.0 == pytest.approx(2.5, rel=1e-6)
 
 
 def test_internal_energy_increasing():
     grid = np.geomspace(1e-3, 10.0, 15)
-    values = [internal_energy(t) for t in grid]
+    values = [thermo_point(t).u_over_nef for t in grid]
     assert all(b > a for a, b in zip(values, values[1:]))  # positive specific heat
 
 
 def test_thermo_point_bundles():
     p = thermo_point(0.3)
     assert p.mu_over_ef == p.t * p.eta
-    assert p.mu_over_ef == pytest.approx(mu_over_ef(0.3), rel=1e-14)
-    assert p.u_over_nef == pytest.approx(internal_energy(0.3), rel=1e-14)
+    assert p.eta == eta_from_t(0.3)
+    assert p.u_over_nef == pytest.approx(2.5 * 0.3**3.5 * fermi_dirac(2.5, p.eta), rel=1e-14)
 
 
 def test_parametric_sweep_matches_inversion():
@@ -233,43 +227,43 @@ def test_parametric_sweep_matches_inversion():
 
 
 def test_free_gas_degenerate_limits():
-    assert mu_over_ef(1e-3, FREE) == pytest.approx(
+    assert thermo_point(1e-3, FREE).mu_over_ef == pytest.approx(
         1.0 - math.pi**2 / 12.0 * 1e-6, abs=1e-8
     )
-    assert internal_energy(1e-3, FREE) == pytest.approx(0.6, abs=1e-5)
+    assert thermo_point(1e-3, FREE).u_over_nef == pytest.approx(0.6, abs=1e-5)
 
 
 def test_free_gas_expansion_bound():
     for t in (0.02, 0.05, 0.1):
         expected = 1.0 - math.pi**2 / 12.0 * t * t
-        assert abs(mu_over_ef(t, FREE) - expected) <= 5.0 * t**4
+        assert abs(thermo_point(t, FREE).mu_over_ef - expected) <= 5.0 * t**4
 
 
 def test_free_gas_classical_slope():
     # the free gas approaches u/t = 3/2 only as t^(-3/2), much slower than
     # the trapped gas, so check the limit together with its approach rate
-    dev_100 = abs(internal_energy(100.0, FREE) / 100.0 / 1.5 - 1.0)
-    dev_1000 = abs(internal_energy(1000.0, FREE) / 1000.0 / 1.5 - 1.0)
+    dev_100 = abs(thermo_point(100.0, FREE).u_over_nef / 100.0 / 1.5 - 1.0)
+    dev_1000 = abs(thermo_point(1000.0, FREE).u_over_nef / 1000.0 / 1.5 - 1.0)
     assert dev_100 < 2e-4
     assert dev_1000 < 1e-5
     assert dev_1000 < dev_100 / 25.0
     # trapped over free: (5/2) t vs (3/2) t
-    assert internal_energy(100.0) / internal_energy(100.0, FREE) == pytest.approx(
-        5.0 / 3.0, rel=2e-4
-    )
+    ratio = thermo_point(100.0).u_over_nef / thermo_point(100.0, FREE).u_over_nef
+    assert ratio == pytest.approx(5.0 / 3.0, rel=2e-4)
 
 
 def test_free_gas_monotonicity():
     grid = np.geomspace(1e-3, 10.0, 12)
-    mu = [mu_over_ef(t, FREE) for t in grid]
-    u = [internal_energy(t, FREE) for t in grid]
+    points = [thermo_point(t, FREE) for t in grid]
+    mu = [p.mu_over_ef for p in points]
+    u = [p.u_over_nef for p in points]
     assert all(b < a for a, b in zip(mu, mu[1:]))
     assert all(b > a for a, b in zip(u, u[1:]))
 
 
 def test_gravity_mu_below_free_mu():
     for t in (0.01, 0.1, 0.5, 2.0):
-        assert mu_over_ef(t) < mu_over_ef(t, FREE)
+        assert thermo_point(t).mu_over_ef < thermo_point(t, FREE).mu_over_ef
 
 
 def test_number_closure_nested_quadrature():
