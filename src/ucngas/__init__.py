@@ -11,7 +11,6 @@ from .constants import (
     GravityScales,
     PhysicalConstants,
     constants_from_config,
-    convert,
     default_constants,
     derive_scales,
 )
@@ -34,7 +33,7 @@ from .eigen import (
     eigen_state,
     wavefunction,
 )
-from .errors import DimensionMismatchError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .specfun import fermi_dirac
 from .thermo import (
     FREE,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DilutenessReport",
-    "DimensionMismatchError",
     "DomainError",
     "EigenState",
     "FREE",
@@ -67,7 +65,6 @@ __all__ = [
     "bottom_density_vs_fermi",
     "classical_turning_point",
     "constants_from_config",
-    "convert",
     "default_constants",
     "density",
     "density_ratio",

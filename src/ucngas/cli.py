@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .constants import (
+    ELEMENTARY_CHARGE,
     PhysicalConstants,
     constants_from_config,
-    convert,
     default_constants,
 )
 from .density import (
@@ -49,6 +49,12 @@ EXIT_NUMERICAL = 2
 # largest table one request may produce; fig2 is charged its worst case,
 # a tail extension on every temperature
 MAX_ROWS = 1_000_000
+
+# the library works in SI; tables print levels and eps_F in peV, heights
+# and lengths in cm, densities in cm^-3
+_PEV_PER_J = 1.0 / (1.0e-12 * ELEMENTARY_CHARGE)
+_CM_PER_M = 100.0
+_M3_PER_CM3 = 1.0e-6
 
 
 class _UsageError(Exception):
@@ -177,9 +183,7 @@ def cmd_eigen(args, constants: PhysicalConstants) -> tuple[dict, list[str], list
     for n in range(1, n_max + 1):
         exact = eigen_energy_exact(n, constants)
         asym = eigen_energy_asymptotic(n, constants)
-        rows.append(
-            (n, convert(exact, "J", "peV"), convert(asym, "J", "peV"), abs(asym - exact) / exact)
-        )
+        rows.append((n, exact * _PEV_PER_J, asym * _PEV_PER_J, abs(asym - exact) / exact))
     return {"n_max": n_max}, columns, rows
 
 
@@ -226,7 +230,7 @@ def cmd_fig3(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[
         values = bottom_density_vs_fermi(temps, constants) * _spin_scale(args)
     except DomainError as exc:  # the window is positive and finite, so this is overflow
         raise _UsageError(f"--efermi-max-k is too large: {exc}") from exc
-    rows = [(float(T), convert(float(n), "m^-3", "cm^-3")) for T, n in zip(temps, values)]
+    rows = list(zip(temps.tolist(), (values * _M3_PER_CM3).tolist()))
     grid = {
         "efermi_min_K": args.efermi_min_k,
         "efermi_max_K": args.efermi_max_k,
@@ -256,16 +260,16 @@ def cmd_report(args, constants: PhysicalConstants) -> dict:
     summary = {
         "efermi_K": efermi_K,
         "efermi_J": eps_F,
-        "efermi_peV": convert(eps_F, "J", "peV"),
+        "efermi_peV": eps_F * _PEV_PER_J,
         "t": t,
         "temperature_K": t * efermi_K,
         "eta": eta_from_t(t, TRAPPED),
         "column_height_m": eps_F / (c.m * c.g),
-        "column_height_cm": convert(eps_F / (c.m * c.g), "m", "cm"),
+        "column_height_cm": eps_F / (c.m * c.g) * _CM_PER_M,
         "bottom_density_m3": n0,
-        "bottom_density_cm3": convert(n0, "m^-3", "cm^-3"),
-        "mean_separation_cm": convert(dil.mean_separation, "m", "cm"),
-        "thermal_wavelength_cm": convert(dil.thermal_wavelength, "m", "cm"),
+        "bottom_density_cm3": n0 * _M3_PER_CM3,
+        "mean_separation_cm": dil.mean_separation * _CM_PER_M,
+        "thermal_wavelength_cm": dil.thermal_wavelength * _CM_PER_M,
         "degenerate": dil.degenerate,
         "paper_literal": args.paper_literal,
     }

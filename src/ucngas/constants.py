@@ -1,7 +1,7 @@
-"""Physical constants, gravitational scales, and unit conversion.
+"""Physical constants, gravitational scales, and the ``--config`` file parser.
 
-Everything downstream works in SI units; conversions happen only at the
-input/output boundary through :func:`convert`.
+Everything here and downstream works in SI units; the CLI alone turns
+results into the printed peV, cm and cm^-3.
 """
 
 from __future__ import annotations
@@ -9,13 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DomainError
 
 NEUTRON_MASS = 1.67492749804e-27  # kg, CODATA 2018
 STANDARD_GRAVITY = 9.80665  # m s^-2, conventional standard value
 HBAR = 1.054571817e-34  # J s, exact SI
 BOLTZMANN = 1.380649e-23  # J K^-1, exact SI
-ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact SI; anchors the eV-based units
+ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact SI; anchors the printed peV
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,8 @@ class PhysicalConstants:
     """SI constants defining the trapped gas.
 
     ``h`` is always derived as 2*pi*hbar and cannot be set independently.
+    Each field must be positive and finite, and so must the derived
+    alpha, l_g, e_g and hbar^3; otherwise construction raises DomainError.
     """
 
     m: float = NEUTRON_MASS  # particle mass (kg)
@@ -37,6 +39,7 @@ class PhysicalConstants:
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"constant {name} must be positive and finite, got {value!r}")
         object.__setattr__(self, "h", 2.0 * math.pi * self.hbar)
+        _check_scales(self)
 
 
 @dataclass(frozen=True)
@@ -63,40 +66,6 @@ def derive_scales(constants: PhysicalConstants | None = None) -> GravityScales:
     alpha = 2.0 * c.m * c.m * c.g / (c.hbar * c.hbar)
     l_g = alpha ** (-1.0 / 3.0)
     return GravityScales(alpha=alpha, e_g=c.m * c.g * l_g, l_g=l_g)
-
-
-# unit name -> (dimension, factor converting a value in that unit to SI)
-_UNIT_TABLE: dict[str, tuple[str, float]] = {
-    "J": ("energy", 1.0),
-    "peV": ("energy", 1.0e-12 * ELEMENTARY_CHARGE),
-    "m": ("length", 1.0),
-    "cm": ("length", 1.0e-2),
-    "um": ("length", 1.0e-6),
-    "m^-3": ("density", 1.0),
-    "cm^-3": ("density", 1.0e6),
-}
-
-
-def convert(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert ``value`` between supported units of one dimension.
-
-    Supported units: J, peV (energy); m, cm, um (length);
-    m^-3, cm^-3 (number density). Mixed dimensions raise
-    :class:`DimensionMismatchError`.
-    """
-    try:
-        dim_from, factor_from = _UNIT_TABLE[from_unit]
-    except KeyError:
-        raise DomainError(f"unknown unit {from_unit!r}") from None
-    try:
-        dim_to, factor_to = _UNIT_TABLE[to_unit]
-    except KeyError:
-        raise DomainError(f"unknown unit {to_unit!r}") from None
-    if dim_from != dim_to:
-        raise DimensionMismatchError(
-            f"cannot convert {from_unit} ({dim_from}) to {to_unit} ({dim_to})"
-        )
-    return value * (factor_from / factor_to)
 
 
 # config keys accepted by constants_from_config
@@ -131,9 +100,7 @@ def constants_from_config(text: str) -> PhysicalConstants:
             overrides[field_name] = float(value)
         except ValueError:
             raise DomainError(f"config line {lineno}: bad number {value!r}") from None
-    constants = PhysicalConstants(**overrides)
-    _check_scales(constants)
-    return constants
+    return PhysicalConstants(**overrides)
 
 
 def _check_scales(c: PhysicalConstants) -> None:

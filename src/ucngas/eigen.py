@@ -14,6 +14,7 @@ zeros need no Ai (a table, then a series), so the levels load no scipy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 
@@ -51,12 +52,12 @@ def airy_zero_asymptotic(n: int) -> float:
     """Large-index approximation -(3*pi*(4n - 1)/8)**(2/3) to the n-th zero.
 
     Accurate to about 0.8% at n = 1 and improving monotonically with n.
-    Raises DomainError unless 1 <= n <= ZERO_INDEX_MAX; every level
-    routine reaches its index through here.
+    Raises DomainError unless n is an integer (numpy's too, bool not) in
+    1..ZERO_INDEX_MAX; every level routine reaches its index through here.
     """
-    if not (isinstance(n, int) and 1 <= n <= ZERO_INDEX_MAX):
-        raise DomainError(f"zero index must lie in 1..{ZERO_INDEX_MAX}, got {n!r}")
-    return -((3.0 * math.pi * (4.0 * n - 1.0) / 8.0) ** (2.0 / 3.0))
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 1 <= n <= ZERO_INDEX_MAX):
+        raise DomainError(f"zero index must be an integer in 1..{ZERO_INDEX_MAX}, got {n!r}")
+    return -((3.0 * math.pi * (4.0 * operator.index(n) - 1.0) / 8.0) ** (2.0 / 3.0))
 
 
 def airy_zero(n: int) -> float:
@@ -66,6 +67,7 @@ def airy_zero(n: int) -> float:
     whose truncation error is below 1e-16 relative there.
     """
     seed = airy_zero_asymptotic(n)  # -t**(2/3); checks the index
+    n = operator.index(n)  # a numpy integer would not mix with Decimal
     if n <= len(_FIRST_ZEROS):
         return _FIRST_ZEROS[n - 1]
     u = (-seed) ** -3  # t**-2

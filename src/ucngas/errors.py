@@ -5,9 +5,5 @@ class DomainError(ValueError):
     """An argument lies outside an operation's documented domain."""
 
 
-class DimensionMismatchError(DomainError):
-    """A unit conversion was requested between incompatible dimensions."""
-
-
 class NumericalError(RuntimeError):
     """An iterative scheme failed to reach its accuracy target."""

@@ -8,7 +8,8 @@ widely quoted coefficient (pi^2/2 and ratio 6, 5 pi^2/8, 7/2) falls outside
 the same tolerance, and prints both on its verdict line.
 test_series_oracle.py derives the same coefficients from mpmath alone.
 Checks 11 and 11b sum the particle number over the discrete Airy levels
-and pin how much the continuum density of states overcounts it.
+and pin how much the continuum density of states overcounts it; check 12
+holds N fixed instead and pins the shift of mu that the overcount causes.
 
 The golden tables in golden/ are compared byte for byte. The JSON ones
 carry every printed number at full precision, so a 1-ulp change anywhere
@@ -24,14 +25,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from ucngas import (
     FREE,
     airy_zero,
     airy_zero_asymptotic,
     classical_turning_point,
-    convert,
     default_constants,
     density,
     density_ratio,
@@ -48,6 +48,7 @@ from ucngas import (
     wavefunction,
 )
 from ucngas.cli import main
+from ucngas.constants import ELEMENTARY_CHARGE
 from oracles import airy_level_number, bouncer_levels_fd, column_number, nested_cross_term
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -103,7 +104,7 @@ def test_check_01_asymptotic_zero_accuracy():
 
 
 def test_check_02_ground_state_energy():
-    e1_pev = convert(eigen_energy_exact(1), "J", "peV")
+    e1_pev = eigen_energy_exact(1) / (1.0e-12 * ELEMENTARY_CHARGE)
     start = time.perf_counter()
     oracle = bouncer_levels_fd(1, default_constants(), n_grid=10_000)[0]
     elapsed = time.perf_counter() - start
@@ -174,11 +175,11 @@ def test_check_05_bottom_density_expansion():
 def test_check_06_worked_numbers_at_one_millikelvin():
     c = default_constants()
     eps_F = c.kB * 1e-3
-    n00_cm3 = convert(density_zero_T(0.0, eps_F, c), "m^-3", "cm^-3")
-    height_cm = convert(eps_F / (c.m * c.g), "m", "cm")
+    n00_cm3 = density_zero_T(0.0, eps_F, c) * 1e-6
+    height_cm = eps_F / (c.m * c.g) * 100.0
     report = diluteness(density_zero_T(0.0, eps_F, c), 1e-3, c)
-    sep_cm = convert(report.mean_separation, "m", "cm")
-    lam_cm = convert(report.thermal_wavelength, "m", "cm")
+    sep_cm = report.mean_separation * 100.0
+    lam_cm = report.thermal_wavelength * 100.0
     ok = (
         0.85e16 <= n00_cm3 <= 0.95e16
         and abs(height_cm - 84.0) <= 1.0
@@ -310,6 +311,26 @@ def test_check_11b_discrete_levels_finite_temperature():
         f"level-sum deficit vs (3 pi/8) ln(1 + e^eta) / F_3/2(eta) tau^-3/2 at {len(points)} "
         f"points, worst rel err {worst:.2e} at eta = {worst_at[0]:.3g}, tau = {worst_at[1]:g}; "
         f"eps_F = 30 e_g: {cold:.3e} at T = 0, {deficit:.3e} at t = 0.2",
+    )
+
+
+def test_check_12_discrete_levels_fixed_number():
+    # at fixed N the levels need a higher mu: N ~ X^(5/2) (1 - (15 pi/16) X^-3/2)
+    # gives mu_levels / eps_F - 1 = (2/5)(15 pi/16) X^-3/2 = (3 pi/8) X^-3/2
+    correction = lambda x: 3.0 * math.pi / 8.0 * x**-1.5
+    worst, parts = 0.0, []
+    for x in (30.0, 100.0):
+        target = _continuum_number(x, 0.0)
+        mu = optimize.brentq(lambda m: airy_level_number(m) - target, x, 1.1 * x, xtol=1e-13)
+        shift = mu / x - 1.0
+        worst = max(worst, abs(shift / correction(x) - 1.0))
+        parts.append(f"{shift:.4e} vs {correction(x):.4e} at X = {x:g}")
+    ok = worst <= 1e-2
+    _verdict(
+        "check 12",
+        ok,
+        f"mu_levels/eps_F - 1 at fixed N vs (3 pi/8) X^-3/2: {'; '.join(parts)}; "
+        f"worst rel err {worst:.2e}",
     )
 
 

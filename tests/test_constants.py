@@ -1,4 +1,4 @@
-"""Constants, derived gravitational scales, unit conversion, config parsing."""
+"""Constants, derived gravitational scales, config parsing."""
 
 import math
 import re
@@ -6,14 +6,13 @@ import re
 import pytest
 
 from ucngas import (
-    DimensionMismatchError,
     DomainError,
     PhysicalConstants,
     constants_from_config,
-    convert,
     default_constants,
     derive_scales,
 )
+from ucngas.constants import ELEMENTARY_CHARGE
 
 
 def test_default_values():
@@ -38,6 +37,17 @@ def test_rejects_nonpositive_fields():
         PhysicalConstants(hbar=float("nan"))
     with pytest.raises(DomainError):
         PhysicalConstants(kB=float("inf"))
+    # each field finite and positive, but a derived scale leaves the double range;
+    # the same five cases as test_config_rejects_bad_input
+    for fields, quantity in (
+        ({"m": 1e200}, "alpha"),
+        ({"m": 1e-200}, "alpha"),
+        ({"hbar": 1e200}, "alpha"),
+        ({"g": 1e-300}, "alpha"),
+        ({"hbar": 1e110}, "hbar^3"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(quantity)):
+            PhysicalConstants(**fields)
 
 
 def test_scale_values():
@@ -45,7 +55,7 @@ def test_scale_values():
     assert s.alpha == pytest.approx(4.947552084908705e15, rel=1e-12)
     assert s.l_g == pytest.approx(5.868627463929085e-06, rel=1e-12)
     assert s.e_g == pytest.approx(9.639471639253355e-32, rel=1e-12)
-    assert convert(s.e_g, "J", "peV") == pytest.approx(0.602, abs=5e-4)
+    assert s.e_g / (1.0e-12 * ELEMENTARY_CHARGE) == pytest.approx(0.602, abs=5e-4)  # peV
 
 
 def test_scale_invariants():
@@ -69,37 +79,6 @@ def test_scales_homogeneous_in_hbar():
     assert scaled.alpha == pytest.approx(base.alpha / s**2, rel=1e-13)
     assert scaled.e_g == pytest.approx(base.e_g * s ** (2.0 / 3.0), rel=1e-13)
     assert scaled.l_g == pytest.approx(base.l_g * s ** (2.0 / 3.0), rel=1e-13)
-
-
-def test_convert_energy():
-    assert convert(2.254e-31, "J", "peV") == pytest.approx(1.407, abs=5e-4)
-    assert convert(1.0, "peV", "J") == pytest.approx(1.602176634e-31, rel=1e-14)
-
-
-def test_convert_length_and_density():
-    assert convert(1.0e22, "m^-3", "cm^-3") == pytest.approx(1.0e16, rel=1e-14)
-    assert convert(1.0, "m", "cm") == 100.0
-    assert convert(1.0, "um", "cm") == pytest.approx(1.0e-4, rel=1e-14)
-
-
-def test_convert_round_trips():
-    groups = [("J", "peV"), ("m", "cm", "um"), ("m^-3", "cm^-3")]
-    for group in groups:
-        for a in group:
-            for b in group:
-                x = 0.731
-                assert convert(convert(x, a, b), b, a) == pytest.approx(x, rel=1e-14)
-
-
-def test_convert_rejects_mixed_dimensions():
-    with pytest.raises(DimensionMismatchError):
-        convert(1.0, "J", "m")
-    with pytest.raises(DimensionMismatchError):
-        convert(1.0, "cm^-3", "peV")
-    with pytest.raises(DomainError):
-        convert(1.0, "furlong", "m")
-    with pytest.raises(DomainError):  # kelvin is a temperature; k_B comes from the constants
-        convert(1.0, "K", "J")
 
 
 def test_config_parsing():

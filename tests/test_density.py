@@ -10,7 +10,6 @@ from scipy import integrate
 from ucngas import (
     DomainError,
     bottom_density_vs_fermi,
-    convert,
     default_constants,
     density,
     density_ratio,
@@ -29,7 +28,7 @@ N_1MK = particle_number(EPS_1MK, C)  # per m^2 of floor
 
 def test_zero_t_bottom_density_one_millikelvin():
     n00 = density_zero_T(0.0, EPS_1MK, C)
-    assert convert(n00, "m^-3", "cm^-3") == pytest.approx(9.057627e15, rel=1e-6)
+    assert n00 * 1e-6 == pytest.approx(9.057627e15, rel=1e-6)  # cm^-3
 
 
 def test_zero_t_profile_shape():
@@ -151,7 +150,7 @@ def test_ratio_grid_layout():
 
 def test_bottom_density_curve():
     values = bottom_density_vs_fermi([1e-3, 4e-3], C)
-    assert convert(values[0], "m^-3", "cm^-3") == pytest.approx(9.057627e15, rel=1e-6)
+    assert values[0] * 1e-6 == pytest.approx(9.057627e15, rel=1e-6)  # cm^-3
     assert values[1] == pytest.approx(8.0 * values[0], rel=1e-12)  # 3/2 power law
     with pytest.raises(DomainError):
         bottom_density_vs_fermi([1e-3, -1e-3], C)
@@ -161,16 +160,16 @@ def test_bottom_density_curve():
 
 
 def test_diluteness_dilute_storage_numbers():
-    report = diluteness(convert(100.0, "cm^-3", "m^-3"), 1e-3, C)
-    assert convert(report.mean_separation, "m", "cm") == pytest.approx(0.215, abs=2e-3)
-    assert convert(report.thermal_wavelength, "m", "cm") == pytest.approx(7.955285e-6, rel=1e-6)
+    report = diluteness(100.0 * 1e6, 1e-3, C)  # 100 cm^-3
+    assert report.mean_separation * 100.0 == pytest.approx(0.215, abs=2e-3)  # cm
+    assert report.thermal_wavelength * 100.0 == pytest.approx(7.955285e-6, rel=1e-6)
     assert not report.degenerate
 
 
 def test_diluteness_degenerate_numbers():
     n00 = density_zero_T(0.0, EPS_1MK, C)
     report = diluteness(n00, 1e-3, C)
-    assert convert(report.mean_separation, "m", "cm") == pytest.approx(4.797281e-6, rel=1e-6)
+    assert report.mean_separation * 100.0 == pytest.approx(4.797281e-6, rel=1e-6)  # cm
     assert report.degenerate
     assert report.mean_separation * report.density ** (1.0 / 3.0) == pytest.approx(
         1.0, rel=1e-12

@@ -17,7 +17,6 @@ from ucngas import (
     airy_zero,
     airy_zero_asymptotic,
     classical_turning_point,
-    convert,
     default_constants,
     derive_scales,
     eigen_energy_asymptotic,
@@ -26,12 +25,14 @@ from ucngas import (
     eta_from_t,
     wavefunction,
 )
+from ucngas.constants import ELEMENTARY_CHARGE
 from ucngas.eigen import ZERO_INDEX_MAX
 from oracles import AIRY_LEVELS, airy_level_number, bouncer_levels_fd
 
 A1 = -2.33810741045976704
 A2 = -4.08794944413097062
 AIP_AT_A1 = 0.70121082272069136  # |Ai'| at the first zero, 30-digit refinement
+PEV = 1.0e-12 * ELEMENTARY_CHARGE  # J
 
 
 def _tail_end(state, constants=None):
@@ -122,12 +123,12 @@ def test_every_zero_is_the_nth_zero_of_amos_ai():
 
 def test_ground_state_energy():
     e1 = eigen_energy_exact(1)
-    assert convert(e1, "J", "peV") == pytest.approx(1.4067188095476264, rel=1e-9)
+    assert e1 / PEV == pytest.approx(1.4067188095476264, rel=1e-9)
     assert e1 == pytest.approx(2.254e-31, rel=1e-3)
 
 
 def test_second_level_energy():
-    assert convert(eigen_energy_exact(2), "J", "peV") == pytest.approx(2.46, abs=5e-3)
+    assert eigen_energy_exact(2) / PEV == pytest.approx(2.46, abs=5e-3)
 
 
 def test_energies_strictly_increasing():
@@ -262,13 +263,17 @@ def test_level_sum_oracle_refuses_what_its_levels_do_not_cover():
 
 
 def test_index_validation():
-    for bad in (0, 1001):
+    for bad in (0, 1001, True, 3.0):
         with pytest.raises(DomainError):
             eigen_energy_exact(bad)
         with pytest.raises(DomainError):
             eigen_energy_asymptotic(bad)
         with pytest.raises(DomainError):
             eigen_state(bad)
+    # any integer type is an index
+    assert airy_zero(np.int64(3)) == airy_zero(3)
+    assert airy_zero_asymptotic(np.int64(3)) == airy_zero_asymptotic(3)
+    assert eigen_energy_exact(np.int64(3)) == eigen_energy_exact(3)
 
 
 def test_turning_point():

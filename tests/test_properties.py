@@ -12,11 +12,20 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ucngas import beta_epsf_from_eta, density_ratio, eta_from_t
+from ucngas import (
+    beta_epsf_from_eta,
+    default_constants,
+    density,
+    density_ratio,
+    eta_from_t,
+    fermi_dirac,
+    particle_number,
+)
 from ucngas.cli import _fmt, main
 from ucngas.thermo import T_DIMLESS_MAX, T_DIMLESS_MIN
+from oracles import column_number, fermi_dirac_mp
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -51,6 +60,30 @@ def test_density_ratio_is_nonnegative_and_nonincreasing_in_height(t, u):
     ratio = density_ratio(t, x)
     assert np.all(ratio >= 0.0)
     assert np.all(np.diff(ratio) <= 0.0)
+
+
+# each example costs two 33-digit mpmath polylogs, ~0.1 s near eta = 0, and
+# the column quadrature ~0.1-0.2 s, so these two draw fewer examples
+@settings(DETERMINISTIC, max_examples=12)
+@given(j=st.sampled_from((0.5, 1.5, 2.5)), eta=st.floats(-60.0, 200.0))
+@example(j=0.5, eta=-45.0)  # the draws reach the middle and degenerate
+@example(j=1.5, eta=-45.0)  # branches; these pin the Maxwell one
+@example(j=2.5, eta=-45.0)
+def test_fermi_dirac_derivative_is_j_times_next_lower_order(j, eta):
+    mp = pytest.importorskip("mpmath")
+    # central difference with step 2^-56 at 33 digits: the slope is good to ~1e-16
+    with mp.workdps(16):
+        slope = mp.diff(lambda e: fermi_dirac_mp(j, e, mp.mp.dps), eta, addprec=0)
+    assert j * fermi_dirac(j - 1.0, eta) == pytest.approx(float(slope), rel=1e-13, abs=0.0)
+
+
+@settings(DETERMINISTIC, max_examples=8)
+@given(t=st.floats(T_DIMLESS_MIN, T_DIMLESS_MAX))
+def test_column_integral_is_the_particle_number(t):
+    c = default_constants()
+    eps_F = 1e-3 * c.kB
+    total = column_number(t, eps_F, c, density)
+    assert total == pytest.approx(particle_number(eps_F, c), rel=1e-7)
 
 
 @st.composite
