@@ -7,13 +7,7 @@ gravity-confined column, density profiles, and a CLI that renders
 figure data as CSV/JSON tables.
 """
 
-from .constants import (
-    GravityScales,
-    PhysicalConstants,
-    constants_from_config,
-    default_constants,
-    derive_scales,
-)
+from .constants import PhysicalConstants, constants_from_config
 from .density import (
     DilutenessReport,
     bottom_density_vs_fermi,
@@ -54,7 +48,6 @@ __all__ = [
     "DomainError",
     "EigenState",
     "FREE",
-    "GravityScales",
     "NumericalError",
     "PhysicalConstants",
     "TRAPPED",
@@ -65,11 +58,9 @@ __all__ = [
     "bottom_density_vs_fermi",
     "classical_turning_point",
     "constants_from_config",
-    "default_constants",
     "density",
     "density_ratio",
     "density_zero_T",
-    "derive_scales",
     "diluteness",
     "eigen_energy_asymptotic",
     "eigen_energy_exact",

@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .constants import (
+    _CONFIG_KEYS,
     ELEMENTARY_CHARGE,
+    NEUTRON,
     PhysicalConstants,
     constants_from_config,
-    default_constants,
 )
 from .density import (
     _tail_points,
@@ -158,7 +159,7 @@ def _spin_scale(args) -> float:
 
 
 def _constants_meta(c: PhysicalConstants) -> dict:
-    return {"m_kg": c.m, "g_mps2": c.g, "hbar_Js": c.hbar, "kB_JpK": c.kB, "h_Js": c.h}
+    return {**{key: getattr(c, name) for key, name in _CONFIG_KEYS.items()}, "h_Js": c.h}
 
 
 def _render_table(fmt: str, meta: dict, columns: list[str], rows: list[tuple]) -> str:
@@ -278,7 +279,7 @@ def cmd_report(args, constants: PhysicalConstants) -> dict:
 
 def _load_constants(config_path: Path | None) -> PhysicalConstants:
     if config_path is None:
-        return default_constants()
+        return NEUTRON
     try:
         return constants_from_config(config_path.read_text())
     except (OSError, DomainError) as exc:

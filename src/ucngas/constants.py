@@ -20,10 +20,13 @@ ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact SI; anchors the printed peV
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """SI constants defining the trapped gas.
+    """SI constants defining the trapped gas, with their gravitational scales.
 
-    ``h`` is always derived as 2*pi*hbar and cannot be set independently.
-    Each field must be positive and finite, and so must the derived
+    ``h`` = 2 pi hbar and the scales of a particle bouncing on a hard floor
+    are derived and cannot be set: alpha = 2 m^2 g / hbar^2, the length
+    l_g = alpha**(-1/3) = (hbar^2 / (2 m^2 g))**(1/3) and the energy
+    e_g = m g l_g, so alpha * l_g**3 = 1 and e_g = m g l_g exactly.
+    Each field must be a positive finite number (not a bool), and so must
     alpha, l_g, e_g and hbar^3; otherwise construction raises DomainError.
     """
 
@@ -31,41 +34,42 @@ class PhysicalConstants:
     g: float = STANDARD_GRAVITY  # gravitational acceleration (m s^-2)
     hbar: float = HBAR  # reduced Planck constant (J s)
     kB: float = BOLTZMANN  # Boltzmann constant (J K^-1)
-    h: float = field(init=False, repr=False)
+    h: float = field(init=False, repr=False)  # Planck constant (J s)
+    alpha: float = field(init=False, repr=False)  # m^-3
+    l_g: float = field(init=False, repr=False)  # m
+    e_g: float = field(init=False, repr=False)  # J
 
     def __post_init__(self) -> None:
         for name in ("m", "g", "hbar", "kB"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+            ):
                 raise DomainError(f"constant {name} must be positive and finite, got {value!r}")
         object.__setattr__(self, "h", 2.0 * math.pi * self.hbar)
-        _check_scales(self)
+        # finite positive constants can still over- or underflow a derived
+        # quantity; floats give inf or 0.0 then rather than raising
+        hbar2 = self.hbar * self.hbar
+        alpha = 2.0 * self.m * self.m * self.g / hbar2 if hbar2 > 0.0 else math.inf
+        l_g = alpha ** (-1.0 / 3.0) if 0.0 < alpha < math.inf else math.nan  # alpha refused below
+        e_g = self.m * self.g * l_g
+        for quantity, value in (
+            ("alpha = 2 m^2 g / hbar^2", alpha),
+            ("l_g", l_g),
+            ("e_g", e_g),
+            ("hbar^3", hbar2 * self.hbar),
+        ):
+            if not 0.0 < value < math.inf:
+                raise DomainError(
+                    f"{quantity} is {value!r}; the constants must keep it positive and finite"
+                )
+        for name, value in (("alpha", alpha), ("l_g", l_g), ("e_g", e_g)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class GravityScales:
-    """Natural scales of a particle bouncing on a hard floor under gravity."""
-
-    alpha: float  # 2 m^2 g / hbar^2 (m^-3)
-    e_g: float  # energy scale (m g^2 hbar^2 / 2)^(1/3) (J)
-    l_g: float  # length scale alpha^(-1/3) (m)
-
-
-def default_constants() -> PhysicalConstants:
-    """Neutron constants with standard gravity."""
-    return PhysicalConstants()
-
-
-def derive_scales(constants: PhysicalConstants | None = None) -> GravityScales:
-    """Gravitational scales for the given constants.
-
-    The three fields satisfy alpha * l_g**3 = 1 and e_g = m * g * l_g
-    exactly; l_g equals (hbar^2 / (2 m^2 g))**(1/3).
-    """
-    c = constants if constants is not None else default_constants()
-    alpha = 2.0 * c.m * c.m * c.g / (c.hbar * c.hbar)
-    l_g = alpha ** (-1.0 / 3.0)
-    return GravityScales(alpha=alpha, e_g=c.m * c.g * l_g, l_g=l_g)
+# neutron constants under standard gravity; frozen, so every function that
+# takes constants shares this one instance as its default
+NEUTRON = PhysicalConstants()
 
 
 # config keys accepted by constants_from_config
@@ -101,23 +105,3 @@ def constants_from_config(text: str) -> PhysicalConstants:
         except ValueError:
             raise DomainError(f"config line {lineno}: bad number {value!r}") from None
     return PhysicalConstants(**overrides)
-
-
-def _check_scales(c: PhysicalConstants) -> None:
-    """Reject constants whose derived scales leave the double range.
-
-    Each constant may be finite and positive while alpha, l_g, e_g or
-    hbar^3 over- or underflows, which would surface later as a division
-    by zero or an OverflowError. Float products give inf or 0.0 rather
-    than raising, so each quantity is formed and tested here first.
-    """
-    hbar2 = c.hbar * c.hbar
-    alpha = 2.0 * c.m * c.m * c.g / hbar2 if hbar2 > 0.0 else math.inf
-    quantities = [("alpha = 2 m^2 g / hbar^2", alpha)]
-    if 0.0 < alpha < math.inf:  # derive_scales cannot raise then
-        scales = derive_scales(c)
-        quantities += [("l_g", scales.l_g), ("e_g", scales.e_g)]
-    quantities.append(("hbar^3", hbar2 * c.hbar))
-    for name, value in quantities:
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} is {value!r}; the constants must keep it positive and finite")

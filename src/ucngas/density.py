@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants, default_constants
+from .constants import NEUTRON, PhysicalConstants
 from .errors import DomainError
 from .specfun import FD_ETA_MAX, fermi_dirac
 from .thermo import TRAPPED, _check_t, eta_from_t
@@ -51,7 +51,7 @@ def _zero_t(energy: float, c: PhysicalConstants) -> float:
 
 
 def density(
-    t: float, z: float, eps_F: float, constants: PhysicalConstants | None = None
+    t: float, z: float, eps_F: float, constants: PhysicalConstants = NEUTRON
 ) -> float:
     """Finite-temperature local density n(t, z) in m^-3 for Fermi energy eps_F (J).
 
@@ -61,12 +61,11 @@ def density(
     above the column.
     """
     z = _check_height(z)
-    c = constants if constants is not None else default_constants()
-    n00 = density_zero_T(0.0, eps_F, c)
-    return n00 * density_ratio(t, c.m * c.g * z / eps_F)
+    n00 = density_zero_T(0.0, eps_F, constants)
+    return n00 * density_ratio(t, constants.m * constants.g * z / eps_F)
 
 
-def density_zero_T(z: float, eps_F: float, constants: PhysicalConstants | None = None) -> float:
+def density_zero_T(z: float, eps_F: float, constants: PhysicalConstants = NEUTRON) -> float:
     """Zero-temperature profile (2m(eps_F - m g z))^(3/2) / (3 pi^2 hbar^3).
 
     Vanishes at and above the column height eps_F/(m g). Raises
@@ -74,12 +73,11 @@ def density_zero_T(z: float, eps_F: float, constants: PhysicalConstants | None =
     density (2 m eps_F)^(3/2) / (3 pi^2 hbar^3) is finite.
     """
     z = _check_height(z)
-    c = constants if constants is not None else default_constants()
     eps_F = float(eps_F)
-    if not (0.0 < eps_F < math.inf and _zero_t(eps_F, c) < math.inf):
+    if not (0.0 < eps_F < math.inf and _zero_t(eps_F, constants) < math.inf):
         raise DomainError(f"eps_F = {eps_F!r} J must be positive and give a finite bottom density")
-    local = eps_F - c.m * c.g * z
-    return _zero_t(local, c) if local > 0.0 else 0.0
+    local = eps_F - constants.m * constants.g * z
+    return _zero_t(local, constants) if local > 0.0 else 0.0
 
 
 def density_ratio(t, mgz_over_ef):
@@ -102,18 +100,19 @@ def density_ratio(t, mgz_over_ef):
 
 
 def bottom_density_vs_fermi(
-    fermi_temperatures_K, constants: PhysicalConstants | None = None
+    fermi_temperatures_K, constants: PhysicalConstants = NEUTRON
 ) -> np.ndarray:
     """Zero-temperature bottom density (m^-3) for each eps_F/k_B in kelvin.
 
     Scales as eps_F^(3/2), a straight line of slope 3/2 on log-log axes.
     """
-    c = constants if constants is not None else default_constants()
     temps = np.asarray(fermi_temperatures_K, dtype=float)
     if np.any(~np.isfinite(temps)) or np.any(temps <= 0.0):
         raise DomainError("Fermi temperatures must be positive and finite")
     with np.errstate(over="ignore"):
-        n0 = (2.0 * c.m * c.kB * temps) ** 1.5 / (3.0 * math.pi**2 * c.hbar**3)
+        n0 = (2.0 * constants.m * constants.kB * temps) ** 1.5 / (
+            3.0 * math.pi**2 * constants.hbar**3
+        )
     overflow = ~np.isfinite(n0)
     if overflow.any():
         raise DomainError(
@@ -148,7 +147,7 @@ def ratio_grid(t: float, n_points: int = 400) -> np.ndarray:
 
 
 def diluteness(
-    n: float, temperature_K: float, constants: PhysicalConstants | None = None
+    n: float, temperature_K: float, constants: PhysicalConstants = NEUTRON
 ) -> DilutenessReport:
     """Compare mean spacing n^(-1/3) with the wavelength h / sqrt(3 m k_B T).
 
@@ -160,9 +159,8 @@ def diluteness(
         raise DomainError(f"density must be positive and finite, got {n!r}")
     if not (math.isfinite(temperature_K) and temperature_K > 0.0):
         raise DomainError(f"temperature must be positive and finite, got {temperature_K!r}")
-    c = constants if constants is not None else default_constants()
     separation = n ** (-1.0 / 3.0)
-    wavelength = c.h / math.sqrt(3.0 * c.m * c.kB * temperature_K)
+    wavelength = constants.h / math.sqrt(3.0 * constants.m * constants.kB * temperature_K)
     return DilutenessReport(
         density=n,
         mean_separation=separation,

@@ -20,7 +20,7 @@ from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
-from .constants import PhysicalConstants, default_constants, derive_scales
+from .constants import NEUTRON, PhysicalConstants
 from .errors import DomainError
 
 ZERO_INDEX_MAX = 1000
@@ -80,33 +80,30 @@ def airy_zero(n: int) -> float:
         return float(-y * (1 + Decimal(correction)))
 
 
-def eigen_energy_exact(n_z: int, constants: PhysicalConstants | None = None) -> float:
+def eigen_energy_exact(n_z: int, constants: PhysicalConstants = NEUTRON) -> float:
     """Exact vertical eigenenergy e_g * |a_n| (J)."""
-    scales = derive_scales(constants)
-    return scales.e_g * abs(airy_zero(n_z))
+    return constants.e_g * abs(airy_zero(n_z))
 
 
-def eigen_energy_asymptotic(n_z: int, constants: PhysicalConstants | None = None) -> float:
+def eigen_energy_asymptotic(n_z: int, constants: PhysicalConstants = NEUTRON) -> float:
     """Closed-form energy e_g * (3 pi (4 n_z - 1) / 8)**(2/3) (J).
 
     Within 1% of the exact value everywhere; worst at n_z = 1.
     """
-    scales = derive_scales(constants)
-    return scales.e_g * abs(airy_zero_asymptotic(n_z))
+    return constants.e_g * abs(airy_zero_asymptotic(n_z))
 
 
-def eigen_state(n_z: int, constants: PhysicalConstants | None = None) -> EigenState:
+def eigen_state(n_z: int, constants: PhysicalConstants = NEUTRON) -> EigenState:
     """Build the normalized vertical eigenstate for quantum number n_z."""
     from scipy import special
 
     zero = airy_zero(n_z)
-    scales = derive_scales(constants)
     slope = float(special.airy(zero)[1])
-    norm = scales.alpha ** (1.0 / 6.0) / abs(slope)
-    return EigenState(n_z=n_z, energy=scales.e_g * abs(zero), zero=zero, norm=norm)
+    norm = constants.alpha ** (1.0 / 6.0) / abs(slope)
+    return EigenState(n_z=n_z, energy=constants.e_g * abs(zero), zero=zero, norm=norm)
 
 
-def wavefunction(state: EigenState, z, constants: PhysicalConstants | None = None):
+def wavefunction(state: EigenState, z, constants: PhysicalConstants = NEUTRON):
     """Normalized eigenfunction psi(z) = norm * Ai(alpha**(1/3) z + a_n).
 
     ``z`` is a height in meters (scalar or array), z >= 0. Heights far
@@ -115,18 +112,16 @@ def wavefunction(state: EigenState, z, constants: PhysicalConstants | None = Non
     """
     from scipy import special
 
-    scales = derive_scales(constants)
     z_arr = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(z_arr)) or np.any(z_arr < 0.0):
         raise DomainError("heights must be finite and nonnegative")
-    arg = scales.alpha ** (1.0 / 3.0) * z_arr + state.zero
+    arg = constants.alpha ** (1.0 / 3.0) * z_arr + state.zero
     safe = np.minimum(arg, _AIRY_TAIL_CUT)
     psi = state.norm * np.asarray(special.airy(safe)[0], dtype=float)
     psi = np.where(arg > _AIRY_TAIL_CUT, 0.0, psi)
     return float(psi) if np.isscalar(z) else psi
 
 
-def classical_turning_point(state: EigenState, constants: PhysicalConstants | None = None) -> float:
+def classical_turning_point(state: EigenState, constants: PhysicalConstants = NEUTRON) -> float:
     """Height E/(m g) where the potential equals the state's energy (m)."""
-    c = constants if constants is not None else default_constants()
-    return state.energy / (c.m * c.g)
+    return state.energy / (constants.m * constants.g)

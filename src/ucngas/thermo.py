@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants, default_constants
+from .constants import NEUTRON, PhysicalConstants
 from .errors import DomainError, NumericalError
 from .specfun import FD_ETA_MAX, FD_ORDERS, fermi_dirac
 
@@ -46,7 +46,7 @@ class ThermoPoint:
     u_over_nef: float  # U / (N eps_F)
 
 
-def fermi_energy(N: float, constants: PhysicalConstants | None = None) -> float:
+def fermi_energy(N: float, constants: PhysicalConstants = NEUTRON) -> float:
     """Zero-temperature Fermi energy of N particles per m^2 of floor (J).
 
     eps_F = (hbar^2 / 2m) * (15 pi^2 m^2 g N / hbar^2)**(2/5),
@@ -54,12 +54,11 @@ def fermi_energy(N: float, constants: PhysicalConstants | None = None) -> float:
     """
     if not (N > 0.0 and math.isfinite(N)):
         raise DomainError(f"N must be positive and finite, got {N!r}")
-    c = constants if constants is not None else default_constants()
-    packed = 15.0 * math.pi**2 * c.m**2 * c.g * N / c.hbar**2
-    return c.hbar**2 / (2.0 * c.m) * packed**0.4
+    packed = 15.0 * math.pi**2 * constants.m**2 * constants.g * N / constants.hbar**2
+    return constants.hbar**2 / (2.0 * constants.m) * packed**0.4
 
 
-def particle_number(eps_F: float, constants: PhysicalConstants | None = None) -> float:
+def particle_number(eps_F: float, constants: PhysicalConstants = NEUTRON) -> float:
     """Particles per m^2 of floor giving Fermi energy ``eps_F`` (J).
 
     Raises DomainError when eps_F is not positive and finite, or when the
@@ -67,11 +66,9 @@ def particle_number(eps_F: float, constants: PhysicalConstants | None = None) ->
     """
     if not (eps_F > 0.0 and math.isfinite(eps_F)):
         raise DomainError(f"eps_F must be positive and finite, got {eps_F!r}")
-    c = constants if constants is not None else default_constants()
+    m, g, hbar = constants.m, constants.g, constants.hbar
     try:
-        N = (2.0 * c.m * eps_F / c.hbar**2) ** 2.5 * c.hbar**2 / (
-            15.0 * math.pi**2 * c.m**2 * c.g
-        )
+        N = (2.0 * m * eps_F / hbar**2) ** 2.5 * hbar**2 / (15.0 * math.pi**2 * m**2 * g)
     except OverflowError:
         N = math.inf
     if not (0.0 < N < math.inf):

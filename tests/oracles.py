@@ -37,8 +37,8 @@ def bouncer_levels_fd(n_levels: int, constants, n_grid: int = 10_000, s_max: flo
 
 
 AIRY_LEVELS = 1000  # zeros the semi-discrete sum takes from scipy
-# at tau > 0 a level this far above mu holds under e^-40 of a particle share
-_LEVEL_TAIL_SPAN = 40.0
+# at tau > 0 the levels past AIRY_LEVELS may hold at most this share of the sum
+_LEVEL_TAIL_SHARE = 1e-10
 
 
 def airy_level_number(mu: float, tau: float = 0.0) -> float:
@@ -53,20 +53,24 @@ def airy_level_number(mu: float, tau: float = 0.0) -> float:
 
     The zeros come from scipy's ai_zeros, not from the package. Only
     AIRY_LEVELS of them are summed, so a request that needs more raises
-    ValueError instead of extrapolating: mu >= x_1000 at tau = 0, and
-    x_1000 - mu < 40 tau above it.
+    ValueError instead of extrapolating: mu >= x_1000 always, and at
+    tau > 0 a request where the levels past x_1000 (sqrt(x)/pi of them per
+    unit x), which hold about tau^2 (sqrt(x_1000)/pi) e^(-(x_1000 - mu)/tau),
+    would hold more than 1e-10 of the sum.
     """
     x = -special.ai_zeros(AIRY_LEVELS)[0]
+    if not mu < x[-1]:
+        raise ValueError(f"mu = {mu!r} e_g reaches past level {AIRY_LEVELS} at {x[-1]!r}")
     if tau == 0.0:
-        if not mu < x[-1]:
-            raise ValueError(f"mu = {mu!r} e_g reaches past level {AIRY_LEVELS} at {x[-1]!r}")
         return float(np.sum(np.maximum(mu - x, 0.0)))
-    if not x[-1] - mu >= _LEVEL_TAIL_SPAN * tau:
+    total = float(tau * np.sum(np.logaddexp(0.0, (mu - x) / tau)))
+    tail = tau**2 * math.sqrt(x[-1]) / math.pi * math.exp(-(x[-1] - mu) / tau)
+    if not tail <= _LEVEL_TAIL_SHARE * total:
         raise ValueError(
-            f"mu = {mu!r} e_g at tau = {tau!r} leaves under {_LEVEL_TAIL_SPAN:g} tau "
-            f"below level {AIRY_LEVELS} at {x[-1]!r}"
+            f"mu = {mu!r} e_g at tau = {tau!r} leaves about {tail:.2e} past level "
+            f"{AIRY_LEVELS}, over {_LEVEL_TAIL_SHARE:g} of the sum {total!r}"
         )
-    return float(tau * np.sum(np.logaddexp(0.0, (mu - x) / tau)))
+    return total
 
 
 def _fermi_kernel(x: float) -> float:

@@ -9,7 +9,8 @@ the same tolerance, and prints both on its verdict line.
 test_series_oracle.py derives the same coefficients from mpmath alone.
 Checks 11 and 11b sum the particle number over the discrete Airy levels
 and pin how much the continuum density of states overcounts it; check 12
-holds N fixed instead and pins the shift of mu that the overcount causes.
+holds N fixed instead and pins the shift of mu that the overcount causes,
+at T = 0, and check 12b at finite temperature.
 
 The golden tables in golden/ are compared byte for byte. The JSON ones
 carry every printed number at full precision, so a 1-ulp change anywhere
@@ -29,14 +30,13 @@ from scipy import integrate, optimize
 
 from ucngas import (
     FREE,
+    PhysicalConstants,
     airy_zero,
     airy_zero_asymptotic,
     classical_turning_point,
-    default_constants,
     density,
     density_ratio,
     density_zero_T,
-    derive_scales,
     diluteness,
     eigen_energy_exact,
     eigen_state,
@@ -106,7 +106,7 @@ def test_check_01_asymptotic_zero_accuracy():
 def test_check_02_ground_state_energy():
     e1_pev = eigen_energy_exact(1) / (1.0e-12 * ELEMENTARY_CHARGE)
     start = time.perf_counter()
-    oracle = bouncer_levels_fd(1, default_constants(), n_grid=10_000)[0]
+    oracle = bouncer_levels_fd(1, PhysicalConstants(), n_grid=10_000)[0]
     elapsed = time.perf_counter() - start
     oracle_rel = abs(oracle / eigen_energy_exact(1) - 1.0)
     ok = abs(e1_pev - 1.407) <= 0.001 and oracle_rel <= 1e-3 and elapsed < 10.0
@@ -173,7 +173,7 @@ def test_check_05_bottom_density_expansion():
 
 
 def test_check_06_worked_numbers_at_one_millikelvin():
-    c = default_constants()
+    c = PhysicalConstants()
     eps_F = c.kB * 1e-3
     n00_cm3 = density_zero_T(0.0, eps_F, c) * 1e-6
     height_cm = eps_F / (c.m * c.g) * 100.0
@@ -195,7 +195,7 @@ def test_check_06_worked_numbers_at_one_millikelvin():
 
 
 def test_check_07_number_conservation():
-    c = default_constants()
+    c = PhysicalConstants()
     eps_F = c.kB * 1e-3
     N = particle_number(eps_F, c)
     worst = 0.0
@@ -217,9 +217,9 @@ def test_check_08_double_integral_reduction():
 
 
 def test_check_09_orthonormality():
-    scales = derive_scales(default_constants())
+    c = PhysicalConstants()
     states = [eigen_state(n) for n in range(1, 11)]
-    z_end = classical_turning_point(states[-1]) + 10.0 * scales.l_g
+    z_end = classical_turning_point(states[-1]) + 10.0 * c.l_g
     worst = 0.0
     for i, si in enumerate(states):
         for sj in states[i:]:
@@ -275,8 +275,8 @@ def test_check_11_discrete_levels_zero_temperature():
         deficit = 1.0 - airy_level_number(x) / _continuum_number(x, 0.0)
         worst = max(worst, abs(deficit / correction(x) - 1.0))
         parts.append(f"{deficit:.5e} vs {correction(x):.5e} at X = {x:g}")
-    c = default_constants()
-    x_paper = c.kB * 1e-3 / derive_scales(c).e_g
+    c = PhysicalConstants()
+    x_paper = c.kB * 1e-3 / c.e_g
     ok = worst <= 1e-3
     _verdict(
         "check 11",
@@ -295,14 +295,14 @@ def test_check_11b_discrete_levels_finite_temperature():
 
     # fixed eta and tau, and the eta(t) of a gas with eps_F = 30 e_g
     points = [(eta * tau, tau) for tau in (3.0, 5.0) for eta in (10.0, 16.0)]
-    points += [(eta_from_t(t) * t * 30.0, t * 30.0) for t in (0.01, 0.1, 0.2)]
+    points += [(eta_from_t(t) * t * 30.0, t * 30.0) for t in (0.01, 0.1, 0.2, 0.3)]
     worst, worst_at = 0.0, None
     for mu, tau in points:
         deficit = 1.0 - airy_level_number(mu, tau) / _continuum_number(mu, tau)
         err = abs(deficit / correction(mu, tau) - 1.0)
         if err >= worst:
             worst, worst_at = err, (mu / tau, tau)
-    # deficit is left at the last point, eps_F = 30 e_g at t = 0.2
+    # deficit is left at the last point, eps_F = 30 e_g at t = 0.3
     cold = 1.0 - airy_level_number(30.0) / _continuum_number(30.0, 0.0)
     ok = worst <= 5e-3
     _verdict(
@@ -310,7 +310,7 @@ def test_check_11b_discrete_levels_finite_temperature():
         ok,
         f"level-sum deficit vs (3 pi/8) ln(1 + e^eta) / F_3/2(eta) tau^-3/2 at {len(points)} "
         f"points, worst rel err {worst:.2e} at eta = {worst_at[0]:.3g}, tau = {worst_at[1]:g}; "
-        f"eps_F = 30 e_g: {cold:.3e} at T = 0, {deficit:.3e} at t = 0.2",
+        f"eps_F = 30 e_g: {cold:.3e} at T = 0, {deficit:.3e} at t = 0.3",
     )
 
 
@@ -331,6 +331,32 @@ def test_check_12_discrete_levels_fixed_number():
         ok,
         f"mu_levels/eps_F - 1 at fixed N vs (3 pi/8) X^-3/2: {'; '.join(parts)}; "
         f"worst rel err {worst:.2e}",
+    )
+
+
+def test_check_12b_discrete_levels_fixed_number_finite_temperature():
+    # check 11b's deficit (tau/4) ln(1 + e^eta) over dN/deta = tau^(5/2) F_1/2(eta) / pi
+    # gives eta_levels - eta = (pi/4) ln(1 + e^eta) / (F_1/2(eta) tau^3/2) at fixed N,
+    # which tends to check 12's (3 pi/8) X^-3/2 in mu/eps_F as t -> 0
+    def correction(eta, tau):
+        return math.pi / 4.0 * math.log1p(math.exp(eta)) / fermi_dirac(0.5, eta) / tau**1.5
+
+    worst, parts = 0.0, []
+    for t in (0.01, 0.1, 0.2, 0.3):  # a gas with eps_F = 30 e_g
+        eta, tau = eta_from_t(t), t * 30.0
+        target = _continuum_number(eta * tau, tau)
+        mu = optimize.brentq(
+            lambda m: airy_level_number(m, tau) - target, eta * tau, 1.1 * eta * tau, xtol=1e-13
+        )
+        gap, expected = mu / tau - eta, correction(eta, tau)
+        worst = max(worst, abs(gap / expected - 1.0))
+        parts.append(f"{gap:.4e} vs {expected:.4e} at t = {t:g}")
+    ok = worst <= 3e-3
+    _verdict(
+        "check 12b",
+        ok,
+        f"eta_levels - eta at fixed N, eps_F = 30 e_g, vs (pi/4) ln(1 + e^eta) / "
+        f"(F_1/2(eta) tau^3/2): {'; '.join(parts)}; worst rel err {worst:.2e}",
     )
 
 
@@ -372,7 +398,7 @@ def test_fig2_curve_properties():
 
 
 def test_fig3_curve_properties():
-    c = default_constants()
+    c = PhysicalConstants()
     temps = np.geomspace(1e-6, 1e-1, 9)
     from ucngas import bottom_density_vs_fermi
 

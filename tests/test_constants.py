@@ -5,18 +5,12 @@ import re
 
 import pytest
 
-from ucngas import (
-    DomainError,
-    PhysicalConstants,
-    constants_from_config,
-    default_constants,
-    derive_scales,
-)
+from ucngas import DomainError, PhysicalConstants, constants_from_config
 from ucngas.constants import ELEMENTARY_CHARGE
 
 
 def test_default_values():
-    c = default_constants()
+    c = PhysicalConstants()
     assert c.m == 1.67492749804e-27
     assert c.g == 9.80665
     assert c.hbar == 1.054571817e-34
@@ -24,7 +18,7 @@ def test_default_values():
 
 
 def test_h_is_two_pi_hbar():
-    c = default_constants()
+    c = PhysicalConstants()
     assert c.h == 2.0 * math.pi * c.hbar
 
 
@@ -37,6 +31,10 @@ def test_rejects_nonpositive_fields():
         PhysicalConstants(hbar=float("nan"))
     with pytest.raises(DomainError):
         PhysicalConstants(kB=float("inf"))
+    with pytest.raises(DomainError, match="positive and finite"):
+        PhysicalConstants(g=True)  # a bool is an int, but no constant
+    with pytest.raises(TypeError):
+        PhysicalConstants(alpha=1.0)  # the scales are derived, never set
     # each field finite and positive, but a derived scale leaves the double range;
     # the same five cases as test_config_rejects_bad_input
     for fields, quantity in (
@@ -51,31 +49,30 @@ def test_rejects_nonpositive_fields():
 
 
 def test_scale_values():
-    s = derive_scales(default_constants())
-    assert s.alpha == pytest.approx(4.947552084908705e15, rel=1e-12)
-    assert s.l_g == pytest.approx(5.868627463929085e-06, rel=1e-12)
-    assert s.e_g == pytest.approx(9.639471639253355e-32, rel=1e-12)
-    assert s.e_g / (1.0e-12 * ELEMENTARY_CHARGE) == pytest.approx(0.602, abs=5e-4)  # peV
+    c = PhysicalConstants()
+    assert c.alpha == pytest.approx(4.947552084908705e15, rel=1e-12)
+    assert c.l_g == pytest.approx(5.868627463929085e-06, rel=1e-12)
+    assert c.e_g == pytest.approx(9.639471639253355e-32, rel=1e-12)
+    assert c.e_g / (1.0e-12 * ELEMENTARY_CHARGE) == pytest.approx(0.602, abs=5e-4)  # peV
 
 
 def test_scale_invariants():
-    s = derive_scales(default_constants())
-    c = default_constants()
-    assert s.alpha * s.l_g**3 == pytest.approx(1.0, rel=1e-12)
-    assert s.e_g == pytest.approx(c.m * c.g * s.l_g, rel=1e-12)
-    assert s.l_g == pytest.approx((c.hbar**2 / (2.0 * c.m**2 * c.g)) ** (1.0 / 3.0), rel=1e-12)
+    c = PhysicalConstants()
+    assert c.alpha * c.l_g**3 == pytest.approx(1.0, rel=1e-12)
+    assert c.e_g == pytest.approx(c.m * c.g * c.l_g, rel=1e-12)
+    assert c.l_g == pytest.approx((c.hbar**2 / (2.0 * c.m**2 * c.g)) ** (1.0 / 3.0), rel=1e-12)
 
 
 def test_alpha_linear_in_g():
-    base = derive_scales(default_constants())
-    doubled = derive_scales(PhysicalConstants(g=2.0 * 9.80665))
+    base = PhysicalConstants()
+    doubled = PhysicalConstants(g=2.0 * 9.80665)
     assert doubled.alpha == pytest.approx(2.0 * base.alpha, rel=1e-14)
 
 
 def test_scales_homogeneous_in_hbar():
-    base = derive_scales(default_constants())
+    base = PhysicalConstants()
     s = 2.0
-    scaled = derive_scales(PhysicalConstants(hbar=s * 1.054571817e-34))
+    scaled = PhysicalConstants(hbar=s * 1.054571817e-34)
     assert scaled.alpha == pytest.approx(base.alpha / s**2, rel=1e-13)
     assert scaled.e_g == pytest.approx(base.e_g * s ** (2.0 / 3.0), rel=1e-13)
     assert scaled.l_g == pytest.approx(base.l_g * s ** (2.0 / 3.0), rel=1e-13)

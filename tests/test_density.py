@@ -9,8 +9,8 @@ from scipy import integrate
 
 from ucngas import (
     DomainError,
+    PhysicalConstants,
     bottom_density_vs_fermi,
-    default_constants,
     density,
     density_ratio,
     density_zero_T,
@@ -21,7 +21,7 @@ from ucngas import (
 )
 from oracles import column_number
 
-C = default_constants()
+C = PhysicalConstants()
 EPS_1MK = C.kB * 1e-3
 N_1MK = particle_number(EPS_1MK, C)  # per m^2 of floor
 

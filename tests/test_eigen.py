@@ -17,8 +17,6 @@ from ucngas import (
     airy_zero,
     airy_zero_asymptotic,
     classical_turning_point,
-    default_constants,
-    derive_scales,
     eigen_energy_asymptotic,
     eigen_energy_exact,
     eigen_state,
@@ -35,10 +33,9 @@ AIP_AT_A1 = 0.70121082272069136  # |Ai'| at the first zero, 30-digit refinement
 PEV = 1.0e-12 * ELEMENTARY_CHARGE  # J
 
 
-def _tail_end(state, constants=None):
+def _tail_end(state, constants=PhysicalConstants()):
     # quadrature cutoff: turning point plus ten decay lengths
-    scales = derive_scales(constants)
-    return classical_turning_point(state, constants) + 10.0 * scales.l_g
+    return classical_turning_point(state, constants) + 10.0 * constants.l_g
 
 
 # ---- Airy zeros ----
@@ -155,9 +152,9 @@ def test_energy_scales_as_g_to_two_thirds():
 
 
 def test_state_normalization_constant():
-    scales = derive_scales(default_constants())
+    c = PhysicalConstants()
     state = eigen_state(1)
-    assert state.norm == pytest.approx(scales.alpha ** (1.0 / 6.0) / AIP_AT_A1, rel=1e-12)
+    assert state.norm == pytest.approx(c.alpha ** (1.0 / 6.0) / AIP_AT_A1, rel=1e-12)
     assert state.energy == pytest.approx(eigen_energy_exact(1), rel=1e-14)
     assert state.n_z == 1
 
@@ -177,8 +174,8 @@ def test_wavefunction_rejects_wall_region():
 
 def test_wavefunction_tail_is_exactly_zero():
     state = eigen_state(1)
-    scales = derive_scales(default_constants())
-    far = classical_turning_point(state) + 50.0 * scales.l_g
+    c = PhysicalConstants()
+    far = classical_turning_point(state) + 50.0 * c.l_g
     assert wavefunction(state, far) == 0.0
 
 
@@ -212,12 +209,11 @@ def test_node_counts():
 def test_virial_ratio():
     # <m g z> = (2/3) E for a linear potential; break the quadrature at the
     # wavefunction nodes so the oscillatory lobes are all resolved
-    c = default_constants()
-    scales = derive_scales(c)
+    c = PhysicalConstants()
     for n in (1, 2, 5, 10):
         state = eigen_state(n)
         breaks = [
-            (airy_zero(k) - airy_zero(n)) * scales.l_g
+            (airy_zero(k) - airy_zero(n)) * c.l_g
             for k in range(1, n)
         ]
         breaks.append(classical_turning_point(state))
@@ -232,14 +228,14 @@ def test_virial_ratio():
 
 
 def test_finite_difference_oracle_agrees():
-    c = default_constants()
+    c = PhysicalConstants()
     fd = bouncer_levels_fd(5, c, n_grid=10_000)
     for i, level in enumerate(fd, start=1):
         assert level == pytest.approx(eigen_energy_exact(i), rel=1e-3)
 
 
 def test_finite_difference_oracle_converges_quadratically():
-    c = default_constants()
+    c = PhysicalConstants()
     exact = eigen_energy_exact(1)
     err = [
         abs(bouncer_levels_fd(1, c, n_grid=n)[0] - exact) / exact for n in (2500, 5000)
@@ -253,12 +249,19 @@ def test_level_sum_oracle_refuses_what_its_levels_do_not_cover():
     for mu in (x_top, 2.0 * x_top):
         with pytest.raises(ValueError, match="past level 1000"):
             airy_level_number(mu)
-    assert airy_level_number(x_top - 40.0 * 3.0, 3.0) > 0.0
-    # eps_F = 30 e_g at t = 0.3 leaves 28.6 tau; eps_F = 100 e_g at t = 0.3
-    # leaves 6.8 tau, where the truncated sum overstates the deficit by 29%
-    eta = eta_from_t(0.3)
-    for mu, tau in ((x_top - 39.9 * 3.0, 3.0), (eta * 9.0, 9.0), (eta * 30.0, 30.0)):
-        with pytest.raises(ValueError, match="under 40 tau"):
+    # at tau = 3 the levels past x_1000 reach 1e-10 of the sum between 16 and
+    # 15.5 tau below x_1000: 2.9e-11 at 17 tau, 2.0e-10 at 15 tau
+    assert airy_level_number(x_top - 17.0 * 3.0, 3.0) > 0.0
+    # the share past x_1000 is 3.8e-13 for eps_F = 30 e_g at t = 0.3 (check 11b)
+    # and 5.7e-10 at t = 0.4, and 6.5e-4 for eps_F = 100 e_g at t = 0.3, where
+    # the truncated sum overstates the deficit by 29%
+    assert airy_level_number(eta_from_t(0.3) * 9.0, 9.0) > 0.0
+    for mu, tau in (
+        (x_top - 15.0 * 3.0, 3.0),
+        (eta_from_t(0.4) * 12.0, 12.0),
+        (eta_from_t(0.3) * 30.0, 30.0),
+    ):
+        with pytest.raises(ValueError, match="past level 1000, over 1e-10"):
             airy_level_number(mu, tau)
 
 
@@ -277,11 +280,10 @@ def test_index_validation():
 
 
 def test_turning_point():
-    c = default_constants()
-    scales = derive_scales(c)
+    c = PhysicalConstants()
     state = eigen_state(1)
     assert classical_turning_point(state) == pytest.approx(
-        abs(state.zero) * scales.l_g, rel=1e-12
+        abs(state.zero) * c.l_g, rel=1e-12
     )
     assert classical_turning_point(state) == pytest.approx(
         state.energy / (c.m * c.g), rel=1e-15

@@ -15,8 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from ucngas import (
+    PhysicalConstants,
     beta_epsf_from_eta,
-    default_constants,
     density,
     density_ratio,
     eta_from_t,
@@ -80,7 +80,7 @@ def test_fermi_dirac_derivative_is_j_times_next_lower_order(j, eta):
 @settings(DETERMINISTIC, max_examples=8)
 @given(t=st.floats(T_DIMLESS_MIN, T_DIMLESS_MAX))
 def test_column_integral_is_the_particle_number(t):
-    c = default_constants()
+    c = PhysicalConstants()
     eps_F = 1e-3 * c.kB
     total = column_number(t, eps_F, c, density)
     assert total == pytest.approx(particle_number(eps_F, c), rel=1e-7)

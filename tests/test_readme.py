@@ -1,0 +1,23 @@
+"""The README's library example runs and prints what its comments say."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_example_prints_the_digits_in_its_comments(capsys):
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    # each print writes one value, and its comment opens with that value's
+    # leading digits, e.g. "# 9.06e15 (cm^-3)"
+    expected = [
+        re.search(r"#\s*([-+\d.e]+)", line).group(1)
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected) > 0
+    for value, digits in zip(printed, expected):
+        significant = len(digits.split("e")[0].replace(".", "").lstrip("-+0"))
+        assert float(f"{float(value):.{significant}g}") == float(digits), (value, digits)

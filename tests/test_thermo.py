@@ -11,8 +11,8 @@ from ucngas import (
     FREE,
     NumericalError,
     DomainError,
+    PhysicalConstants,
     beta_epsf_from_eta,
-    default_constants,
     eta_from_t,
     fermi_dirac,
     fermi_energy,
@@ -36,14 +36,14 @@ def test_fermi_energy_particle_number_scaling():
 
 
 def test_fermi_energy_round_trip():
-    c = default_constants()
+    c = PhysicalConstants()
     for N in (1e18, 3.045377e21):
         eps = fermi_energy(N, c)
         assert particle_number(eps, c) == pytest.approx(N, rel=1e-10)
 
 
 def test_one_millikelvin_column():
-    c = default_constants()
+    c = PhysicalConstants()
     N = particle_number(c.kB * 1e-3, c)
     assert N == pytest.approx(3.045377e21, rel=1e-6)  # per m^2 of floor
 
