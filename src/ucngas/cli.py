@@ -146,12 +146,6 @@ def _check_t_window(args) -> None:
     _check_t_flag("--t-max", args.t_max)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return f"{float(value):.11e}"  # 12 significant digits
-
-
 def _spin_scale(args) -> float:
     # the library counts both spin states; --paper-literal drops the factor 2,
     # and halving is exact in binary, so the output matches a 6 pi^2 hbar^3 normalization
@@ -162,36 +156,37 @@ def _constants_meta(c: PhysicalConstants) -> dict:
     return {**{key: getattr(c, name) for key, name in _CONFIG_KEYS.items()}, "h_Js": c.h}
 
 
-def _render_table(fmt: str, meta: dict, columns: list[str], rows: list[tuple]) -> str:
+def _render_table(fmt: str, meta: dict, columns: dict[str, np.ndarray]) -> str:
+    # a row per index; CSV prints an integer column with %d, any other to 12 digits
+    rows = zip(*(column.tolist() for column in columns.values()))
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
-    payload = {
-        "meta": dict(meta, columns=columns, format=fmt),
-        "rows": [list(row) for row in rows],
-    }
+        cells = ("%d" if c.dtype.kind == "i" else "%.11e" for c in columns.values())
+        row_format = ",".join(cells) + "\n"
+        return ",".join(columns) + "\n" + "".join(row_format % row for row in rows)
+    payload = {"meta": dict(meta, columns=list(columns), format=fmt), "rows": list(rows)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_eigen(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
-    """Rows (n_z, exact and asymptotic level in peV, relative error)."""
+def cmd_eigen(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.ndarray]]:
+    """Columns n_z, exact and asymptotic level in peV, relative error."""
     n_max = args.n_max
     if not (1 <= n_max <= ZERO_INDEX_MAX):
         raise _UsageError(f"--n-max must lie in 1..{ZERO_INDEX_MAX}, got {n_max}")
-    columns = ["n_z", "E_exact_peV", "E_asymptotic_peV", "rel_error"]
-    rows = []
-    for n in range(1, n_max + 1):
-        exact = eigen_energy_exact(n, constants)
-        asym = eigen_energy_asymptotic(n, constants)
-        rows.append((n, exact * _PEV_PER_J, asym * _PEV_PER_J, abs(asym - exact) / exact))
-    return {"n_max": n_max}, columns, rows
+    n = np.arange(1, n_max + 1)
+    exact = np.array([eigen_energy_exact(k, constants) for k in n.tolist()])
+    asym = np.array([eigen_energy_asymptotic(k, constants) for k in n.tolist()])
+    columns = {
+        "n_z": n,
+        "E_exact_peV": exact * _PEV_PER_J,
+        "E_asymptotic_peV": asym * _PEV_PER_J,
+        "rel_error": np.abs(asym - exact) / exact,
+    }
+    return {"n_max": n_max}, columns
 
 
-def cmd_fig1(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
+def cmd_fig1(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.ndarray]]:
     """Chemical potential and internal energy sweep with free-gas columns."""
     _check_t_window(args)
-    columns = ["t", "mu_over_ef", "u_over_nef", "mu_free_over_ef", "u_free_over_nef"]
     if args.parametric:
         eta_hi = eta_from_t(args.t_min, TRAPPED)
         eta_lo = eta_from_t(args.t_max, TRAPPED)
@@ -201,43 +196,45 @@ def cmd_fig1(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[
     # the eta -> t round trip can overshoot the solver's range by a rounding error
     t = np.clip(gas.t, T_DIMLESS_MIN, T_DIMLESS_MAX)
     free = thermo_point(t, FREE)
-    columns_data = (t, gas.mu_over_ef, gas.u_over_nef, free.mu_over_ef, free.u_over_nef)
-    rows = np.column_stack(columns_data).tolist()
+    columns = {
+        "t": t,
+        "mu_over_ef": gas.mu_over_ef,
+        "u_over_nef": gas.u_over_nef,
+        "mu_free_over_ef": free.mu_over_ef,
+        "u_free_over_nef": free.u_over_nef,
+    }
     grid = {name: getattr(args, name) for name in ("t_min", "t_max", "t_steps", "parametric")}
-    return grid, columns, rows
+    return grid, columns
 
 
-def cmd_fig2(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
+def cmd_fig2(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.ndarray]]:
     """Long-format table of n(t,z)/n(0,0) over a t grid and a height grid."""
     _check_t_window(args)
     n_rows = args.t_steps * (args.z_steps + _tail_points(args.z_steps))
     if n_rows > MAX_ROWS:
         raise _UsageError(f"--t-steps and --z-steps ask for {n_rows} rows, more than {MAX_ROWS}")
-    columns = ["t", "mgz_over_ef", "n_over_n00"]
-    rows = []
-    for t in np.geomspace(args.t_min, args.t_max, args.t_steps).tolist():
-        x = ratio_grid(t, args.z_steps)
-        rows.extend(zip([t] * x.size, x.tolist(), density_ratio(t, x).tolist()))
+    temps = np.geomspace(args.t_min, args.t_max, args.t_steps)
+    heights = [ratio_grid(t_k, args.z_steps) for t_k in temps.tolist()]
+    t = np.repeat(temps, [x_k.size for x_k in heights])
+    x = np.concatenate(heights)
     grid = {name: getattr(args, name) for name in ("t_min", "t_max", "t_steps", "z_steps")}
-    return grid, columns, rows
+    return grid, {"t": t, "mgz_over_ef": x, "n_over_n00": density_ratio(t, x)}
 
 
-def cmd_fig3(args, constants: PhysicalConstants) -> tuple[dict, list[str], list[tuple]]:
+def cmd_fig3(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.ndarray]]:
     """Zero-T bottom density (cm^-3) against eps_F/k_B (K), log-spaced."""
     _check_window(args.efermi_min_k, args.efermi_max_k, "--efermi-min-k < --efermi-max-k")
-    columns = ["efermi_K", "n0_cm3"]
     temps = np.geomspace(args.efermi_min_k, args.efermi_max_k, args.t_steps)
     try:
         values = bottom_density_vs_fermi(temps, constants) * _spin_scale(args)
     except DomainError as exc:  # the window is positive and finite, so this is overflow
         raise _UsageError(f"--efermi-max-k is too large: {exc}") from exc
-    rows = list(zip(temps.tolist(), (values * _M3_PER_CM3).tolist()))
     grid = {
         "efermi_min_K": args.efermi_min_k,
         "efermi_max_K": args.efermi_max_k,
         "steps": args.t_steps,
     }
-    return grid, columns, rows
+    return grid, {"efermi_K": temps, "n0_cm3": values * _M3_PER_CM3}
 
 
 def cmd_report(args, constants: PhysicalConstants) -> dict:
@@ -282,7 +279,7 @@ def _load_constants(config_path: Path | None) -> PhysicalConstants:
         return NEUTRON
     try:
         return constants_from_config(config_path.read_text())
-    except (OSError, DomainError) as exc:
+    except (OSError, UnicodeDecodeError, DomainError) as exc:
         raise _UsageError(f"config {config_path}: {exc}") from exc
 
 
@@ -299,11 +296,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
     if "format" in args:
-        grid, columns, rows = result
+        grid, columns = result
         meta = {"command": args.command, "constants": _constants_meta(constants), "grid": grid}
         if "paper_literal" in args:
             meta["paper_literal"] = args.paper_literal
-        text = _render_table(args.format, meta, columns, rows)
+        text = _render_table(args.format, meta, columns)
     else:  # report, always JSON
         text = json.dumps(result, indent=2, sort_keys=True) + "\n"
 

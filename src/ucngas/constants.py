@@ -7,6 +7,7 @@ results into the printed peV, cm and cm^-3.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -26,8 +27,9 @@ class PhysicalConstants:
     are derived and cannot be set: alpha = 2 m^2 g / hbar^2, the length
     l_g = alpha**(-1/3) = (hbar^2 / (2 m^2 g))**(1/3) and the energy
     e_g = m g l_g, so alpha * l_g**3 = 1 and e_g = m g l_g exactly.
-    Each field must be a positive finite number (not a bool), and so must
-    alpha, l_g, e_g and hbar^3; otherwise construction raises DomainError.
+    Each field must be a positive number (not a bool) no larger than the
+    largest double, and is stored as a float; alpha, l_g, e_g and hbar^3
+    must be positive and finite too. Otherwise construction raises DomainError.
     """
 
     m: float = NEUTRON_MASS  # particle mass (kg)
@@ -42,10 +44,15 @@ class PhysicalConstants:
     def __post_init__(self) -> None:
         for name in ("m", "g", "hbar", "kB"):
             value = getattr(self, name)
+            # an int compares exactly, so one past the double range is refused here
             if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+                isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
             ):
-                raise DomainError(f"constant {name} must be positive and finite, got {value!r}")
+                # an int can be too long for repr to build
+                huge = isinstance(value, int) and abs(value) > sys.float_info.max
+                shown = f"an int of {value.bit_length()} bits" if huge else repr(value)
+                raise DomainError(f"constant {name} must be positive and finite, got {shown}")
+            object.__setattr__(self, name, float(value))
         object.__setattr__(self, "h", 2.0 * math.pi * self.hbar)
         # finite positive constants can still over- or underflow a derived
         # quantity; floats give inf or 0.0 then rather than raising

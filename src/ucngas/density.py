@@ -87,8 +87,8 @@ def density_ratio(t, mgz_over_ef):
     At t -> 0 this approaches (1 - x)^(3/2) for x < 1 and zero above.
     Where eta - x/t falls below -FD_ETA_MAX the integral has long since
     underflowed, so the argument is clamped there and the ratio is 0.0.
-    t and x may be scalars or arrays that broadcast together; a scalar t
-    with an array of x is one eta solve and one batched F_{1/2} call.
+    t and x may be scalars or arrays that broadcast together; the call is
+    one eta solve over the distinct values of t and one batched F_{1/2} call.
     """
     x = np.asarray(mgz_over_ef, dtype=float)
     bad = ~((x >= 0.0) & np.isfinite(x))

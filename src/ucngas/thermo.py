@@ -149,12 +149,13 @@ def _solve_eta(t: np.ndarray, s: float) -> np.ndarray:
 def eta_from_t(t, s: float = TRAPPED):
     """Reduced chemical potential eta = beta*mu at reduced temperature t.
 
-    Inverts beta_epsf_from_eta(eta, s) = 1/t by one vector solve. Takes a
-    scalar t, giving a float, or an array, giving an array of its shape.
+    Inverts beta_epsf_from_eta(eta, s) = 1/t by one vector solve, which
+    solves each distinct t once. Takes a scalar t, giving a float, or an
+    array, giving an array of its shape.
     """
-    t = _check_t(t)
-    eta = _solve_eta(np.atleast_1d(t).ravel(), s)
-    return float(eta[0]) if np.ndim(t) == 0 else eta.reshape(t.shape)
+    distinct, inverse = np.unique(_check_t(t), return_inverse=True)
+    eta = _solve_eta(distinct, s)[inverse]  # inverse has t's shape
+    return float(eta) if np.ndim(t) == 0 else eta
 
 
 # perfbench/probe.py clears the cache this function once had before it

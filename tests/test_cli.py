@@ -129,12 +129,15 @@ print(codes, loaded())
     assert result.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] []"]
 
 
-def test_exit_code_bad_config_key(tmp_path):
+def test_exit_code_bad_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("planck = 6.6e-34\n")
     result = run_process(["eigen", "--config", str(cfg)])
     assert result.returncode == 1
     assert "unknown key" in result.stderr
+    cfg.write_bytes(b"g_mps2 = 9\xff\n")  # not UTF-8
+    assert main(["eigen", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: config {cfg}: ")
 
 
 def test_exit_code_success():

@@ -33,6 +33,11 @@ def test_rejects_nonpositive_fields():
         PhysicalConstants(kB=float("inf"))
     with pytest.raises(DomainError, match="positive and finite"):
         PhysicalConstants(g=True)  # a bool is an int, but no constant
+    for huge in (10**400, 10**5000):  # ints past the double range, the second too long to repr
+        with pytest.raises(DomainError, match="positive and finite"):
+            PhysicalConstants(hbar=huge)
+    with pytest.raises(DomainError, match="alpha"):
+        PhysicalConstants(hbar=10**300)  # in range, but its square as an int is not
     with pytest.raises(TypeError):
         PhysicalConstants(alpha=1.0)  # the scales are derived, never set
     # each field finite and positive, but a derived scale leaves the double range;

@@ -23,7 +23,7 @@ from ucngas import (
     fermi_dirac,
     particle_number,
 )
-from ucngas.cli import _fmt, main
+from ucngas.cli import main
 from ucngas.thermo import T_DIMLESS_MAX, T_DIMLESS_MIN
 from oracles import column_number, fermi_dirac_mp
 
@@ -88,7 +88,9 @@ def test_column_integral_is_the_particle_number(t):
 
 @st.composite
 def _table_request(draw):
-    command = draw(st.sampled_from(("fig1", "fig2", "fig3")))
+    command = draw(st.sampled_from(("eigen", "fig1", "fig2", "fig3")))
+    if command == "eigen":
+        return [command, "--n-max", str(draw(st.integers(1, 1000)))]
     # decades: eps_F / k_B in [1e-8, 1e6] K, t inside [1e-4, 1e3]
     decade = draw(st.floats(-8.0, 2.0) if command == "fig3" else st.floats(-4.0, 2.0))
     lo, hi = 10.0**decade, 10.0 ** (decade + draw(st.floats(0.1, 1.0)))
@@ -122,4 +124,6 @@ def test_csv_cells_are_the_formatted_json_values(argv):
     assert lines[0].split(",") == payload["meta"]["columns"]
     assert len(lines) - 1 == len(payload["rows"])
     for line, row in zip(lines[1:], payload["rows"]):
-        assert line.split(",") == [_fmt(value) for value in row], argv
+        # an integer cell prints as itself, a float with 12 significant digits
+        cells = [str(v) if isinstance(v, int) else f"{v:.11e}" for v in row]
+        assert line.split(",") == cells, argv

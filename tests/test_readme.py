@@ -1,7 +1,9 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's examples run and print what the README says they print."""
 
 import re
 from pathlib import Path
+
+from ucngas.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +23,13 @@ def test_readme_example_prints_the_digits_in_its_comments(capsys):
     for value, digits in zip(printed, expected):
         significant = len(digits.split("e")[0].replace(".", "").lstrip("-+0"))
         assert float(f"{float(value):.{significant}g}") == float(digits), (value, digits)
+
+
+def test_readme_eigen_table_is_what_the_cli_prints(capsys):
+    # no golden pins eigen's CSV, so this block pins its %d row format
+    command = "eigen --n-max 3"
+    block = re.search(
+        rf"```console\n\$ python -m ucngas {command}\n(.*?)```", README.read_text(), re.S
+    ).group(1)
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == block

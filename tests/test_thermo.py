@@ -17,6 +17,7 @@ from ucngas import (
     fermi_dirac,
     fermi_energy,
     particle_number,
+    ratio_grid,
     thermo_point,
     thermo_point_from_eta,
 )
@@ -133,7 +134,7 @@ def test_vector_eta_solve_matches_mpmath_across_the_window():
             assert abs(eta_k - exact) <= 1e-13 * max(abs(exact), 1.0), (s, t_k)
 
 
-def test_thermo_arrays_match_scalars_bit_for_bit():
+def test_thermo_arrays_match_scalars_bit_for_bit(monkeypatch):
     t = np.geomspace(T_DIMLESS_MIN, T_DIMLESS_MAX, 40)
     for s in (FREE, 1.5):
         point = thermo_point(t.reshape(5, 8), s)
@@ -153,6 +154,16 @@ def test_thermo_arrays_match_scalars_bit_for_bit():
     for k, eta in enumerate(etas):
         assert swept.t[k] == thermo_point_from_eta(float(eta)).t
         assert betas[k] == beta_epsf_from_eta(float(eta))
+    # fig2's t column: each t on either side of the 0.5 tail onset, repeated over its grid
+    temps = np.array([0.3, 0.45, 0.5, 0.55, 0.7, 0.9])
+    repeated = np.repeat(temps, [ratio_grid(t_k, 20).size for t_k in temps.tolist()])
+    scalars = {t_k: eta_from_t(t_k) for t_k in temps.tolist()}
+    solved = []
+    solve = thermo._solve_eta
+    monkeypatch.setattr(thermo, "_solve_eta", lambda t, s: solved.append(t.copy()) or solve(t, s))
+    eta = eta_from_t(repeated)
+    assert [a.tolist() for a in solved] == [temps.tolist()]  # each distinct t once
+    assert eta.tolist() == [scalars[t_k] for t_k in repeated.tolist()]
 
 
 def test_thermo_array_rejects_any_out_of_window_t():
