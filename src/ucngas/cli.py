@@ -68,11 +68,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _steps(text: str) -> int:
-    steps = int(text)
-    if not 2 <= steps <= MAX_ROWS:
-        raise argparse.ArgumentTypeError(f"must lie in 2..{MAX_ROWS}, got {steps}")
-    return steps
+def _within(kind, lo, hi, domain=None):
+    # a flag's type checks its domain, and argparse prefixes "argument --FLAG: "
+    domain = domain or f"lie in [{lo}, {hi}]"
+
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:  # NaN fails the comparison
+            raise argparse.ArgumentTypeError(f"must {domain}, got {value!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # a malformed value reads "invalid float value: ..."
+    return parse
+
+
+def _config(text: str) -> PhysicalConstants:
+    try:
+        return constants_from_config(Path(text).read_text())
+    except (OSError, UnicodeDecodeError, DomainError) as exc:
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from exc
+
+
+_steps = _within(int, 2, MAX_ROWS)
+_t = _within(float, T_DIMLESS_MIN, T_DIMLESS_MAX)
+# the smallest and the largest positive finite double
+_positive = _within(float, 5e-324, sys.float_info.max, "be positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,15 +103,22 @@ def build_parser() -> argparse.ArgumentParser:
         # resolved per call, so a rebound cmd_* (a tracer, a test double) is the one run
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
-        p.add_argument("--config", type=Path, help="flat key=value constants file")
+        p.add_argument(
+            "--config",
+            type=_config,
+            dest="constants",
+            default=NEUTRON,
+            metavar="FILE",
+            help="flat key=value constants file",
+        )
         p.add_argument("--out", type=Path, help="output path (default: stdout)")
         if table:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         return p
 
     def t_sweep(p):
-        p.add_argument("--t-min", type=float, default=0.01)
-        p.add_argument("--t-max", type=float, default=2.0)
+        p.add_argument("--t-min", type=_t, default=0.01)
+        p.add_argument("--t-max", type=_t, default=2.0)
         p.add_argument("--t-steps", type=_steps, default=200, help="sweep point count")
 
     def paper_literal(p):
@@ -102,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = command("eigen", cmd_eigen, "vertical level table, exact vs asymptotic")
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_within(int, 1, ZERO_INDEX_MAX), default=10)
 
     p = command("fig1", cmd_fig1, "mu and U against t, with the free-gas baseline")
     t_sweep(p)
@@ -117,33 +144,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-steps", type=_steps, default=400, help="height grid point count")
 
     p = command("fig3", cmd_fig3, "zero-T bottom density against eps_F/k_B")
-    p.add_argument("--efermi-min-k", type=float, default=1.0e-6)
-    p.add_argument("--efermi-max-k", type=float, default=1.0e-1)
+    p.add_argument("--efermi-min-k", type=_positive, default=1.0e-6)
+    p.add_argument("--efermi-max-k", type=_positive, default=1.0e-1)
     p.add_argument("--t-steps", type=_steps, default=200, help="sweep point count")
     paper_literal(p)
 
     p = command("report", cmd_report, "worked numbers for one gas (always JSON)", table=False)
-    p.add_argument("--efermi-k", type=float, required=True, help="Fermi energy eps_F / k_B (K)")
-    p.add_argument("--t", type=float, default=1.0e-3, help="reduced temperature")
+    p.add_argument("--efermi-k", type=_positive, required=True, help="Fermi energy eps_F / k_B (K)")
+    p.add_argument("--t", type=_t, default=1.0e-3, help="reduced temperature")
     paper_literal(p)
 
     return parser
 
 
 def _check_window(lo: float, hi: float, flags: str) -> None:
-    if not (0.0 < lo < hi < np.inf):
-        raise _UsageError(f"need 0 < {flags} < inf, got {lo!r} and {hi!r}")
-
-
-def _check_t_flag(flag: str, t: float) -> None:
-    if not (T_DIMLESS_MIN <= t <= T_DIMLESS_MAX):
-        raise _UsageError(f"{flag} must lie in [{T_DIMLESS_MIN}, {T_DIMLESS_MAX}], got {t!r}")
-
-
-def _check_t_window(args) -> None:
-    _check_window(args.t_min, args.t_max, "--t-min < --t-max")
-    _check_t_flag("--t-min", args.t_min)
-    _check_t_flag("--t-max", args.t_max)
+    if not lo < hi:
+        raise _UsageError(f"need {flags}, got {lo!r} and {hi!r}")
 
 
 def _spin_scale(args) -> float:
@@ -167,29 +183,25 @@ def _render_table(fmt: str, meta: dict, columns: dict[str, np.ndarray]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_eigen(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.ndarray]]:
+def cmd_eigen(args) -> tuple[dict, dict[str, np.ndarray]]:
     """Columns n_z, exact and asymptotic level in peV, relative error."""
-    n_max = args.n_max
-    if not (1 <= n_max <= ZERO_INDEX_MAX):
-        raise _UsageError(f"--n-max must lie in 1..{ZERO_INDEX_MAX}, got {n_max}")
-    n = np.arange(1, n_max + 1)
-    exact = np.array([eigen_energy_exact(k, constants) for k in n.tolist()])
-    asym = np.array([eigen_energy_asymptotic(k, constants) for k in n.tolist()])
+    n = np.arange(1, args.n_max + 1)
+    exact = np.array([eigen_energy_exact(k, args.constants) for k in n.tolist()])
+    asym = np.array([eigen_energy_asymptotic(k, args.constants) for k in n.tolist()])
     columns = {
         "n_z": n,
         "E_exact_peV": exact * _PEV_PER_J,
         "E_asymptotic_peV": asym * _PEV_PER_J,
         "rel_error": np.abs(asym - exact) / exact,
     }
-    return {"n_max": n_max}, columns
+    return {"n_max": args.n_max}, columns
 
 
-def cmd_fig1(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.ndarray]]:
+def cmd_fig1(args) -> tuple[dict, dict[str, np.ndarray]]:
     """Chemical potential and internal energy sweep with free-gas columns."""
-    _check_t_window(args)
+    _check_window(args.t_min, args.t_max, "--t-min < --t-max")
     if args.parametric:
-        eta_hi = eta_from_t(args.t_min, TRAPPED)
-        eta_lo = eta_from_t(args.t_max, TRAPPED)
+        eta_hi, eta_lo = eta_from_t(np.array([args.t_min, args.t_max]), TRAPPED)
         gas = thermo_point_from_eta(np.linspace(eta_hi, eta_lo, args.t_steps))
     else:
         gas = thermo_point(np.geomspace(args.t_min, args.t_max, args.t_steps))
@@ -207,9 +219,9 @@ def cmd_fig1(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.nda
     return grid, columns
 
 
-def cmd_fig2(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.ndarray]]:
+def cmd_fig2(args) -> tuple[dict, dict[str, np.ndarray]]:
     """Long-format table of n(t,z)/n(0,0) over a t grid and a height grid."""
-    _check_t_window(args)
+    _check_window(args.t_min, args.t_max, "--t-min < --t-max")
     n_rows = args.t_steps * (args.z_steps + _tail_points(args.z_steps))
     if n_rows > MAX_ROWS:
         raise _UsageError(f"--t-steps and --z-steps ask for {n_rows} rows, more than {MAX_ROWS}")
@@ -221,12 +233,12 @@ def cmd_fig2(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.nda
     return grid, {"t": t, "mgz_over_ef": x, "n_over_n00": density_ratio(t, x)}
 
 
-def cmd_fig3(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.ndarray]]:
+def cmd_fig3(args) -> tuple[dict, dict[str, np.ndarray]]:
     """Zero-T bottom density (cm^-3) against eps_F/k_B (K), log-spaced."""
     _check_window(args.efermi_min_k, args.efermi_max_k, "--efermi-min-k < --efermi-max-k")
     temps = np.geomspace(args.efermi_min_k, args.efermi_max_k, args.t_steps)
     try:
-        values = bottom_density_vs_fermi(temps, constants) * _spin_scale(args)
+        values = bottom_density_vs_fermi(temps, args.constants) * _spin_scale(args)
     except DomainError as exc:  # the window is positive and finite, so this is overflow
         raise _UsageError(f"--efermi-max-k is too large: {exc}") from exc
     grid = {
@@ -237,17 +249,14 @@ def cmd_fig3(args, constants: PhysicalConstants) -> tuple[dict, dict[str, np.nda
     return grid, {"efermi_K": temps, "n0_cm3": values * _M3_PER_CM3}
 
 
-def cmd_report(args, constants: PhysicalConstants) -> dict:
+def cmd_report(args) -> dict:
     """Worked numbers for a gas with the given Fermi energy (as a temperature).
 
     The diluteness comparison evaluates the thermal wavelength at the
     Fermi temperature, which is the degeneracy-onset scale; the actual
     temperature t * eps_F / k_B is reported alongside.
     """
-    efermi_K, t, c = args.efermi_k, args.t, constants
-    if not (np.isfinite(efermi_K) and efermi_K > 0.0):
-        raise _UsageError(f"--efermi-k must be positive, got {efermi_K!r}")
-    _check_t_flag("--t", t)
+    efermi_K, t, c = args.efermi_k, args.t, args.constants
     eps_F = efermi_K * c.kB
     try:
         particle_number(eps_F, c)
@@ -255,7 +264,7 @@ def cmd_report(args, constants: PhysicalConstants) -> dict:
         raise _UsageError(f"--efermi-k {efermi_K!r} is out of range: {exc}") from exc
     n0 = density(t, 0.0, eps_F, c) * _spin_scale(args)
     dil = diluteness(n0, efermi_K, c)
-    summary = {
+    return {
         "efermi_K": efermi_K,
         "efermi_J": eps_F,
         "efermi_peV": eps_F * _PEV_PER_J,
@@ -271,23 +280,12 @@ def cmd_report(args, constants: PhysicalConstants) -> dict:
         "degenerate": dil.degenerate,
         "paper_literal": args.paper_literal,
     }
-    return {"meta": {"command": "report", "constants": _constants_meta(c)}, "summary": summary}
-
-
-def _load_constants(config_path: Path | None) -> PhysicalConstants:
-    if config_path is None:
-        return NEUTRON
-    try:
-        return constants_from_config(config_path.read_text())
-    except (OSError, UnicodeDecodeError, DomainError) as exc:
-        raise _UsageError(f"config {config_path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        constants = _load_constants(args.config)
-        result = args.run(args, constants)
+        result = args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -295,14 +293,15 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    meta = {"command": args.command, "constants": _constants_meta(args.constants)}
     if "format" in args:
         grid, columns = result
-        meta = {"command": args.command, "constants": _constants_meta(constants), "grid": grid}
+        meta["grid"] = grid
         if "paper_literal" in args:
             meta["paper_literal"] = args.paper_literal
         text = _render_table(args.format, meta, columns)
     else:  # report, always JSON
-        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+        text = json.dumps({"meta": meta, "summary": result}, indent=2, sort_keys=True) + "\n"
 
     if args.out is None:
         sys.stdout.write(text)

@@ -42,29 +42,39 @@ def parse_csv(text):
 def test_exit_code_usage_errors(capsys, tmp_path):
     assert main(["bogus"]) == 1
     assert main([]) == 1
-    assert main(["eigen", "--n-max", "0"]) == 1
-    assert main(["eigen", "--n-max", "1001"]) == 1
-    assert main(["fig1", "--t-min", "2", "--t-max", "1"]) == 1
-    assert main(["fig1", "--t-steps", "1"]) == 1
-    assert main(["report", "--efermi-k", "-1"]) == 1
-    assert main(["eigen", "--config", "/does/not/exist"]) == 1
     # each subcommand accepts only the flags it reads
     assert main(["eigen", "--t-steps", "3"]) == 1
     assert main(["fig2", "--paper-literal"]) == 1
     assert main(["report", "--efermi-k", "1e-3", "--format", "json"]) == 1
-    # a window must be finite, a reduced temperature must lie in the solver's
-    # window, and neither fig3 nor report may over- or underflow; the message
-    # names the flag
+    # a flag's own domain is checked as argparse parses it, so the message
+    # opens with the flag: a count in its range, a reduced temperature in the
+    # solver's window, a positive finite Fermi temperature, a readable config
     for argv, flag in (
+        (["eigen", "--n-max", "0"], "--n-max"),
+        (["eigen", "--n-max", "1001"], "--n-max"),
+        (["fig1", "--t-steps", "1"], "--t-steps"),
         (["fig1", "--t-max", "inf"], "--t-max"),
         (["fig2", "--t-max", "inf"], "--t-max"),
-        (["fig3", "--efermi-max-k", "inf"], "--efermi-max-k"),
-        (["fig3", "--efermi-max-k", "1e300", "--t-steps", "3"], "--efermi-max-k"),
         (["fig1", "--t-min", "1e-6"], "--t-min"),
         (["fig1", "--t-min", "0.5", "--t-max", "2e3", "--parametric"], "--t-max"),
         (["fig2", "--t-max", "2e3"], "--t-max"),
+        (["fig3", "--efermi-max-k", "inf"], "--efermi-max-k"),
+        (["fig3", "--efermi-min-k", "-1"], "--efermi-min-k"),
+        (["report", "--efermi-k", "-1"], "--efermi-k"),
+        (["report", "--efermi-k", "nan"], "--efermi-k"),
         (["report", "--efermi-k", "1e-3", "--t", "1e-6"], "--t"),
         (["report", "--efermi-k", "1e-3", "--t", "nan"], "--t"),
+        (["eigen", "--config", "/does/not/exist"], "--config"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: "), argv
+    # a window's ends must come in order, and neither fig3 nor report may
+    # over- or underflow; the message names the flag
+    for argv, flag in (
+        (["fig1", "--t-min", "2", "--t-max", "1"], "--t-min"),
+        (["fig3", "--efermi-min-k", "1", "--efermi-max-k", "0.5"], "--efermi-min-k"),
+        (["fig3", "--efermi-max-k", "1e300", "--t-steps", "3"], "--efermi-max-k"),
         (["report", "--efermi-k", "1e150"], "--efermi-k"),
         (["report", "--efermi-k", "1e300"], "--efermi-k"),
         (["report", "--efermi-k", "1e-300"], "--efermi-k"),
@@ -79,11 +89,11 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         for argv in (["eigen", "--n-max", "3"], ["report", "--efermi-k", "1e-3"]):
             capsys.readouterr()
             assert main([*argv, "--config", str(cfg)]) == 1, (text, argv)
-            assert f"config {cfg}: alpha" in capsys.readouterr().err, (text, argv)
+            assert f"argument --config: {cfg}: alpha" in capsys.readouterr().err, (text, argv)
     cfg.write_text("hbar_Js = 1e110\n")
     capsys.readouterr()
     assert main(["fig3", "--config", str(cfg)]) == 1
-    assert f"config {cfg}: hbar^3" in capsys.readouterr().err
+    assert f"argument --config: {cfg}: hbar^3" in capsys.readouterr().err
 
 
 def test_table_size_is_bounded(capsys):
@@ -137,7 +147,7 @@ def test_exit_code_bad_config_key(tmp_path, capsys):
     assert "unknown key" in result.stderr
     cfg.write_bytes(b"g_mps2 = 9\xff\n")  # not UTF-8
     assert main(["eigen", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith(f"usage error: config {cfg}: ")
+    assert capsys.readouterr().err.startswith(f"usage error: argument --config: {cfg}: ")
 
 
 def test_exit_code_success():

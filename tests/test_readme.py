@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from ucngas.cli import main
+from ucngas.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +33,18 @@ def test_readme_eigen_table_is_what_the_cli_prints(capsys):
     ).group(1)
     assert main(command.split()) == 0
     assert capsys.readouterr().out == block
+
+
+def test_readme_flag_table_lists_each_subcommands_flags():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for name, cell in re.findall(r"^\| (.+?) \| (.+?) \|$", section, re.M)[2:]:
+        # a cell lists backticked flags, some with a metavar: `--config FILE`
+        table[name.strip("`")] = [flag.split()[0] for flag in re.findall(r"`([^`]+)`", cell)]
+    shared = table.pop("all five")
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    assert list(table) == list(commands)
+    for name, command in commands.items():
+        options = [o for a in command._actions if a.dest != "help" for o in a.option_strings]
+        assert shared + table[name] == options, name
