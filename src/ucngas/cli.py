@@ -86,7 +86,16 @@ def _config(text: str) -> PhysicalConstants:
     try:
         return constants_from_config(Path(text).read_text())
     except (OSError, UnicodeDecodeError, DomainError) as exc:
-        raise argparse.ArgumentTypeError(f"{text}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's own text repeats the path
+        raise argparse.ArgumentTypeError(f"{text}: {reason}") from exc
+
+
+def _out(text: str) -> Path:
+    # refused before any compute: a directory, or a file in a missing directory
+    path = Path(text)
+    if path.is_dir() or not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{text}: must name a file in an existing directory")
+    return path
 
 
 _steps = _within(int, 2, MAX_ROWS)
@@ -111,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="FILE",
             help="flat key=value constants file",
         )
-        p.add_argument("--out", type=Path, help="output path (default: stdout)")
+        p.add_argument("--out", type=_out, help="output path (default: stdout)")
         if table:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         return p
@@ -307,9 +316,8 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     else:
         try:
-            with open(args.out, "w", newline="") as handle:
-                handle.write(text)
+            args.out.write_text(text, newline="")
         except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            print(f"usage error: argument --out: {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
     return EXIT_OK

@@ -1,38 +1,37 @@
 """Complete Fermi-Dirac integrals F_j, with numpy alone.
 
-F_j takes scalars or arrays of eta and evaluates a whole array at once
-with fixed numpy quadrature rules, in three branches: the Maxwell series
-for eta <= -35, graded composite Gauss-Legendre panels in z = u^2 for
--35 < eta < 80, and the degenerate reflection formula for eta >= 80.
-Against mpmath's polylogarithm the worst relative error over
-|eta| <= 1e4 is about 1e-15 for every order in FD_ORDERS. Piecewise
-fits in the spirit of Fukushima (2015, Appl. Math. Comput. 259, 708)
-would be faster still, but would have to be derived and checked here.
+F_j takes scalars or arrays of eta and evaluates a whole array at once,
+in three branches: for eta <= 0 the alternating series in e^eta with the
+fixed weights of Cohen, Rodriguez Villegas and Zagier (2000, Experimental
+Math. 9, 3, Algorithm 1); Gauss-Legendre panels in z = u^2 for
+0 < eta < 80; and the degenerate reflection formula above. Against mpmath
+the worst relative error is about 4e-16 for eta <= 0 and 1e-15 up to 1e4,
+for every order in FD_ORDERS. Piecewise fits (Fukushima 2015, Appl. Math.
+Comput. 259, 708) could be faster for eta > 0, if derived and checked here.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
+from .eigen import _PI_34
 from .errors import DomainError
 
 # complete Fermi-Dirac integrals are provided for these orders only
 FD_ORDERS = (-0.5, 0.5, 1.5, 2.5)
 FD_ETA_MAX = 1.0e4
-# at and below this the 3-term Maxwell series is exact to rounding: the first
-# omitted term is e^-105 of the leading one
-_FD_SERIES_CUTOFF = -35.0
 # at and above this the reflection formula is used; (eta - w)^j is then
 # smooth over the whole w range [0, 40] even for j < 1
 _FD_DEGENERATE = 80.0
 # one 32-node Gauss-Legendre rule on [-1, 1] serves every panel; against
 # mpmath 16 nodes reach only 2e-9 and 24 nodes 3e-13
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
-# middle branch: panels per segment between the edges 0, sqrt(max(eta-40, 0)),
-# sqrt(max(eta, 0)) and sqrt(max(eta, 0) + 50); grading the panels towards
-# the Fermi edge u = sqrt(eta) is what keeps the error near 1e-15
+# middle branch: panels per segment between the edges 0, sqrt(max(eta-40, 0)), sqrt(eta)
+# and sqrt(eta + 50); grading them towards the Fermi edge u = sqrt(eta) keeps the error near 1e-15
 _MID_PANELS = np.array([2, 4, 6])
 _MID_SEGMENT = np.repeat(np.arange(3), _MID_PANELS)
 _MID_OFFSET = np.concatenate([np.arange(n) for n in _MID_PANELS]) + 0.5
@@ -44,32 +43,42 @@ _DEG_KERNEL = np.tile(5.0 * _GL_W, 4) / (np.exp(_DEG_W) + 1.0)
 _FD_BLOCK = 256
 
 
-def _check_order(j: float) -> float:
-    j = float(j)
-    if j not in FD_ORDERS:
-        raise DomainError(f"Fermi-Dirac order must be one of {FD_ORDERS}, got {j!r}")
-    return j
-
-
 def _row_sum(a: np.ndarray) -> np.ndarray:
     # left-to-right sum over the last axis: ndarray.sum picks its order from
     # the array's shape, which would make a value depend on its batch
     return np.cumsum(a, axis=-1)[..., -1]
 
 
-def _fd_maxwell(j: float, eta: np.ndarray) -> np.ndarray:
-    # Gamma(j+1) * sum over k <= 3 of (-1)^(k+1) e^(k eta) / k^(j+1)
-    acc = np.exp(eta) - np.exp(2.0 * eta) / 2.0 ** (j + 1.0) + np.exp(3.0 * eta) / 3.0 ** (j + 1.0)
-    return math.gamma(j + 1.0) * acc
+def _series_coefficients(n: int) -> dict[float, np.ndarray]:
+    # F_j = z sum_k a_k z^k, z = e^eta, a_k = Gamma(j+1) (c_k/d) / (k+1)^(j+1), with CRVZ's
+    # weights from the integer coefficients t_i of T_n(1 - 2x) = sum t_i x^i: d = T_n(3) =
+    # sum |t_i| and c_k = (-1)^k sum_(i>k) |t_i|; Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
+    t = [n * math.comb(n + i, 2 * i) * 4**i // (n + i) for i in range(n + 1)]  # the |t_i|, exact
+    with localcontext(Context(prec=34)):
+        return {
+            j: np.array([
+                float(math.factorial(2 * m) * _PI_34.sqrt() * (-1) ** k * sum(t[k + 1 :])
+                      / (4**m * math.factorial(m) * sum(t) * (k + 1) ** m * Decimal(k + 1).sqrt()))
+                for k in range(n)
+            ])
+            for m, j in enumerate(FD_ORDERS)
+        }
+
+
+_SERIES = _series_coefficients(24)  # error bound 2 (3 + sqrt 8)^-24 = 8e-19 of F_j
+
+
+def _fd_series(j: float, eta: np.ndarray) -> np.ndarray:
+    # eta <= 0: z = e^eta lies in (0, 1], where the weighted sum converges
+    z = np.exp(eta)
+    return z * polyval(z, _SERIES[j])
 
 
 def _fd_middle(j: float, eta: np.ndarray) -> np.ndarray:
     # F_j = integral of 2 u^(2j+1) / (exp(u^2 - eta) + 1) over u >= 0,
-    # cut at u^2 = max(eta, 0) + 50 where the integrand is e^-50 of its peak
-    top = np.maximum(eta, 0.0)
-    zero = np.zeros_like(eta)
-    edges = np.stack([zero, np.sqrt(np.maximum(eta - 40.0, 0.0)), np.sqrt(top),
-                      np.sqrt(top + 50.0)], axis=-1)
+    # cut at u^2 = eta + 50 where the integrand is e^-50 of its peak; eta > 0
+    edges = np.stack([np.zeros_like(eta), np.sqrt(np.maximum(eta - 40.0, 0.0)), np.sqrt(eta),
+                      np.sqrt(eta + 50.0)], axis=-1)
     width = (np.diff(edges, axis=-1) / _MID_PANELS)[:, _MID_SEGMENT]
     center = edges[:, _MID_SEGMENT] + _MID_OFFSET * width
     half = 0.5 * width
@@ -90,19 +99,22 @@ def fermi_dirac(j: float, eta):
     """Complete Fermi-Dirac integral F_j(eta) for j in {-1/2, 1/2, 3/2, 5/2}.
 
     F_j(eta) = integral of z**j / (exp(z - eta) + 1) over z >= 0, with
-    relative error <= 1e-13 for |eta| <= 1e4 (about 1e-15 against mpmath).
+    relative error <= 1e-13 for |eta| <= 1e4 (about 4e-16 against mpmath
+    for eta <= 0, 1e-15 above).
     ``eta`` may be a scalar, which gives a float, or an array, which gives
     an array of the same shape; each element's value does not depend on
     the others, so the two agree bit for bit.
 
-    Branches: the Maxwell series for eta <= -35; for -35 < eta < 80 the
-    substitution z = u**2 and 32-node Gauss-Legendre panels graded toward
-    the Fermi edge (2 on [0, sqrt(eta - 40)], 4 up to sqrt(eta), 6 up to
-    sqrt(eta + 50), edges clipped at 0); for eta >= 80 the reflection
-    eta**(j+1)/(j+1) + integral over [0, 40] of
-    [(eta+w)**j - (eta-w)**j] / (exp(w) + 1), on 4 panels.
+    Branches: for eta <= 0 the series in exp(eta), reweighted (CRVZ) into
+    one polynomial of degree 24; for 0 < eta < 80 the substitution z = u**2
+    and 32-node Gauss-Legendre panels graded toward the Fermi edge (2 on
+    [0, sqrt(max(eta - 40, 0))], 4 up to sqrt(eta), 6 up to sqrt(eta + 50));
+    for eta >= 80 the reflection eta**(j+1)/(j+1) + integral over [0, 40]
+    of [(eta+w)**j - (eta-w)**j] / (exp(w) + 1), on 4 panels.
     """
-    j = _check_order(j)
+    j = float(j)
+    if j not in FD_ORDERS:
+        raise DomainError(f"Fermi-Dirac order must be one of {FD_ORDERS}, got {j!r}")
     x = np.asarray(eta, dtype=float)
     bad = ~(np.abs(x) <= FD_ETA_MAX)
     if bad.any():
@@ -111,11 +123,11 @@ def fermi_dirac(j: float, eta):
         )
     flat = x.ravel()
     out = np.empty_like(flat)
-    maxwell = flat <= _FD_SERIES_CUTOFF
+    series = flat <= 0.0
     degenerate = flat >= _FD_DEGENERATE
     for branch, mask in (
-        (_fd_maxwell, maxwell),
-        (_fd_middle, ~(maxwell | degenerate)),
+        (_fd_series, series),
+        (_fd_middle, ~(series | degenerate)),
         (_fd_degenerate, degenerate),
     ):
         index = np.flatnonzero(mask)

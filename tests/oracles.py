@@ -188,3 +188,72 @@ def eta_from_t_mp(t: float, s: float, dps: int = 40):
             if abs(step) <= mp.mpf(10) ** (5 - dps) * max(1, abs(eta)):
                 return eta
     raise ArithmeticError(f"mpmath eta solve did not converge at t={float(t)!r}, s={float(s)!r}")
+
+
+
+def _eta_polish_mp(t: float, s: float, eta: float, dps: int):
+    """The root eta of eta_from_t_mp by one Newton step from a double close to it.
+
+    The step leaves an error of the order of its square, ~1e-30 from a
+    double root; a start farther than 1e-12 off the root is refused.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        s, eta = mp.mpf(s), mp.mpf(eta)
+        residual = (s + 1) * fermi_dirac_mp(s, eta, dps) - mp.mpf(t) ** -(s + 1)
+        step = residual / ((s + 1) * s * fermi_dirac_mp(s - 1, eta, dps))
+        if not abs(step) <= 1e-12 * max(1, abs(eta)):
+            raise ArithmeticError(f"eta = {float(eta)!r} is not within 1e-12 of the root at t={t!r}")
+        return eta - step
+
+
+def judge_moves(moves: dict, dps: int = 20) -> dict:
+    """Judge, stage by stage, whether the values a change moved came nearer to mpmath.
+
+    ``moves`` maps a stage to rows (x, before, after), one per moved value:
+    the stage's double input and its value before and after the change.
+    Stage "F_j" maps eta to F_j(eta), with its error in ulps of the exact
+    value; stage "eta_s" maps t to the eta(t) of density-of-states exponent
+    s, with its error in ulps of max(|eta|, 1), the scale the library's
+    solve stops on; its exact root is one mpmath Newton step from the
+    "after" value. mpmath runs at the moved inputs only, at dps digits;
+    20 resolve 1e-4 ulp. Each stage's report holds the moved count, how
+    many moved nearer and how many farther, and the (before, after) pairs
+    of the worst and median error.
+    """
+    import mpmath as mp
+
+    reports = {}
+    for stage, rows in moves.items():
+        kind, order = stage.split("_")
+        errors = []
+        with mp.workdps(dps):
+            for x, before, after in rows:
+                if kind == "F":
+                    exact = fermi_dirac_mp(float(order), x, dps)
+                    ulp = math.ulp(float(exact))
+                else:
+                    exact = _eta_polish_mp(x, float(order), after, dps)
+                    ulp = math.ulp(max(abs(float(exact)), 1.0))
+                errors.append([float(abs(mp.mpf(v) - exact)) / ulp for v in (before, after)])
+        err_before, err_after = np.array(errors).T
+        reports[stage] = {
+            "moved": len(rows),
+            "nearer": int(np.sum(err_after < err_before)),
+            "farther": int(np.sum(err_after > err_before)),
+            "worst": (float(err_before.max()), float(err_after.max())),
+            "median": (float(np.median(err_before)), float(np.median(err_after))),
+        }
+    return reports
+
+
+def move_accepted(report: dict) -> bool:
+    """The regeneration rule at one stage: worst and median error do not grow,
+    and at least as many values move nearer as farther."""
+    (worst_before, worst_after), (median_before, median_after) = report["worst"], report["median"]
+    return (
+        worst_after <= worst_before
+        and median_after <= median_before
+        and report["nearer"] >= report["farther"]
+    )

@@ -1,15 +1,18 @@
 """Command-line interface: formats, exit codes, determinism, worked report."""
 
+import errno
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from ucngas import thermo
+from ucngas import cli, thermo
 from ucngas.cli import main
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -65,10 +68,15 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         (["report", "--efermi-k", "1e-3", "--t", "1e-6"], "--t"),
         (["report", "--efermi-k", "1e-3", "--t", "nan"], "--t"),
         (["eigen", "--config", "/does/not/exist"], "--config"),
+        (["fig2", "--out", "/nonexistent/dir/x.csv"], "--out"),
+        (["eigen", "--out", str(tmp_path)], "--out"),
     ):
         capsys.readouterr()
         assert main(argv) == 1, argv
-        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: "), argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag}: "), argv
+        if flag in ("--config", "--out"):  # the path is named once
+            assert err.count(argv[-1]) == 1, err
     # a window's ends must come in order, and neither fig3 nor report may
     # over- or underflow; the message names the flag
     for argv, flag in (
@@ -94,6 +102,27 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["fig3", "--config", str(cfg)]) == 1
     assert f"argument --config: {cfg}: hbar^3" in capsys.readouterr().err
+
+
+def test_out_is_checked_before_compute_and_write_errors_exit_1(capsys, monkeypatch, tmp_path):
+    # a bad --out path is refused while parsing: the command never runs
+    monkeypatch.setattr(cli, "cmd_fig2", lambda args: pytest.fail("fig2 computed"))
+    assert main(["fig2", "--out", "/nonexistent/dir/x.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: argument --out: /nonexistent/dir/x.csv: "
+        "must name a file in an existing directory\n"
+    )
+    # a write that fails after the compute exits 1 with the same prefix
+    def full(self, text, newline=None):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    out = tmp_path / "eigen.csv"
+    assert main(["eigen", "--n-max", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: argument --out: {out}: {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert not out.exists()
 
 
 def test_table_size_is_bounded(capsys):

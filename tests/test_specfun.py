@@ -89,6 +89,60 @@ def test_fd_matches_mpmath_across_branch_edges():
             assert abs(got / expected - 1) <= 1e-13, (j, eta)
 
 
+# the series branch's eta <= 0: a grid on [-40, 0], the approach to eta = 0,
+# -35 from both sides, the deep tail down to subnormal results, and -0.0
+FD_SERIES_GRID = (
+    np.linspace(-40.0, 0.0, 441).tolist()
+    + (-np.geomspace(1.0, 1e-8, 40)).tolist()
+    + [-35.0 - 1e-9, -35.0 + 1e-9, -60.0, -100.0, -200.0, -300.0, -500.0, -745.0, -1.0e4]
+    + [0.0, -0.0]
+)
+
+
+def test_fd_series_branch_matches_mpmath_within_5e_16():
+    mp = pytest.importorskip("mpmath")
+    from oracles import fermi_dirac_mp
+
+    tiny = np.finfo(float).tiny
+    for j in FD_ORDERS:
+        values = fermi_dirac(j, np.array(FD_SERIES_GRID))
+        worst = 0.0
+        for eta, got in zip(FD_SERIES_GRID, values.tolist()):
+            with mp.workdps(20):
+                expected = fermi_dirac_mp(j, mp.mpf(eta), dps=20)
+                if expected < tiny:  # subnormal: exp(eta) itself is rounded to a step
+                    # of 2^-1074, which Gamma(j+1) <= 3.4 scales; allow four steps
+                    assert abs(got - expected) <= 2.0**-1072, (j, eta, got)
+                    continue
+                worst = max(worst, float(abs(got / expected - 1)))
+        assert worst <= 5e-16, (j, worst)
+
+
+def test_fd_series_coefficients_match_mpmath():
+    # CRVZ Algorithm 1 as published, with d = T_n(3) from T_(n+1) = 6 T_n - T_(n-1),
+    # against the library's coefficients built in 34-digit decimal
+    mp = pytest.importorskip("mpmath")
+    from ucngas.specfun import _SERIES
+
+    n = 24
+    d_prev, d = 1, 3
+    for _ in range(n - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c, weights = -1, -d, []
+    for k in range(n):
+        c = b - c
+        weights.append(c)
+        b, rest = divmod((k + n) * (k - n) * b * 2, (2 * k + 1) * (k + 1))
+        assert rest == 0  # b stays an integer: T_n has integer coefficients
+    with mp.workdps(60):
+        for j in FD_ORDERS:
+            expected = [
+                float(mp.gamma(mp.mpf(j) + 1) * c / d / mp.mpf(k + 1) ** (mp.mpf(j) + 1))
+                for k, c in enumerate(weights)
+            ]
+            assert _SERIES[j].tolist() == expected, j
+
+
 def test_fd_matches_quadrature_oracle():
     from oracles import fermi_dirac_quad
 
