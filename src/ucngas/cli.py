@@ -245,7 +245,8 @@ def cmd_fig2(args) -> tuple[dict, dict[str, np.ndarray]]:
 def cmd_fig3(args) -> tuple[dict, dict[str, np.ndarray]]:
     """Zero-T bottom density (cm^-3) against eps_F/k_B (K), log-spaced."""
     _check_window(args.efermi_min_k, args.efermi_max_k, "--efermi-min-k < --efermi-max-k")
-    temps = np.geomspace(args.efermi_min_k, args.efermi_max_k, args.t_steps)
+    with np.errstate(over="ignore"):  # near the double range; geomspace sets both ends exactly
+        temps = np.geomspace(args.efermi_min_k, args.efermi_max_k, args.t_steps)
     try:
         values = bottom_density_vs_fermi(temps, args.constants) * _spin_scale(args)
     except DomainError as exc:  # the window is positive and finite, so this is overflow

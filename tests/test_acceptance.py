@@ -72,7 +72,7 @@ GOLDEN_CASES = [
         ["fig3", "--efermi-min-k", "1e-6", "--efermi-max-k", "1e-1", "--t-steps", "9"],
     ),
     # full precision, every printed bit of each subcommand; fig2 reaches all
-    # three F_j branches (eta <= 0, the middle, eta >= 80) and both grid forms
+    # three F_j branches (eta <= 0, the middle, eta >= 40) and both grid forms
     ("eigen.json", ["eigen", "--n-max", "1000", "--format", "json"]),
     ("report.json", ["report", "--efermi-k", "1e-3"]),
     ("report_literal.json", ["report", "--efermi-k", "4e-3", "--t", "0.2", "--paper-literal"]),

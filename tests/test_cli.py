@@ -83,6 +83,7 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         (["fig1", "--t-min", "2", "--t-max", "1"], "--t-min"),
         (["fig3", "--efermi-min-k", "1", "--efermi-max-k", "0.5"], "--efermi-min-k"),
         (["fig3", "--efermi-max-k", "1e300", "--t-steps", "3"], "--efermi-max-k"),
+        (["fig3", "--efermi-max-k", "1.7976931348623157e308"], "--efermi-max-k"),
         (["report", "--efermi-k", "1e150"], "--efermi-k"),
         (["report", "--efermi-k", "1e300"], "--efermi-k"),
         (["report", "--efermi-k", "1e-300"], "--efermi-k"),

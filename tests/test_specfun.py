@@ -67,7 +67,8 @@ def test_fd_tolerates_quadpack_roundoff_warnings():
         assert fermi_dirac_quad(j, eta) == pytest.approx(expected, rel=1e-10)
 
 
-# every branch and panel edge of the engine, each approached from both sides
+# the branch edges 0 and 40, each approached from both sides, the same offsets
+# around -35, 50 and 80 inside the branches, and the ends of the domain
 FD_EDGE_GRID = [
     edge + offset
     for edge in (-35.0, 0.0, 40.0, 50.0, 80.0)
@@ -116,6 +117,25 @@ def test_fd_series_branch_matches_mpmath_within_5e_16():
                     continue
                 worst = max(worst, float(abs(got / expected - 1)))
         assert worst <= 5e-16, (j, worst)
+
+
+# the reflection branch from its edge at 40 up to 80: the range where its nodes
+# come nearest the branch point w = eta of (eta - w)^j
+FD_REFLECTION_GRID = np.linspace(40.0, 80.0, 81).tolist() + [40.0 + 1e-9, 80.0 - 1e-9]
+
+
+def test_fd_reflection_from_40_matches_mpmath_within_3e_16():
+    mp = pytest.importorskip("mpmath")
+    from oracles import fermi_dirac_mp
+
+    for j in FD_ORDERS:
+        values = fermi_dirac(j, np.array(FD_REFLECTION_GRID))
+        with mp.workdps(20):
+            worst = max(
+                float(abs(got / fermi_dirac_mp(j, mp.mpf(eta), dps=20) - 1))
+                for eta, got in zip(FD_REFLECTION_GRID, values.tolist())
+            )
+        assert worst <= 3e-16, (j, worst)
 
 
 def test_fd_series_coefficients_match_mpmath():
