@@ -35,7 +35,6 @@ from .thermo import (
     ThermoPoint,
     beta_epsf_from_eta,
     eta_from_t,
-    fermi_energy,
     particle_number,
     thermo_point,
     thermo_point_from_eta,
@@ -67,7 +66,6 @@ __all__ = [
     "eigen_state",
     "eta_from_t",
     "fermi_dirac",
-    "fermi_energy",
     "particle_number",
     "ratio_grid",
     "thermo_point",

@@ -10,18 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .constants import (
-    _CONFIG_KEYS,
-    ELEMENTARY_CHARGE,
-    NEUTRON,
-    PhysicalConstants,
-    constants_from_config,
-)
+from .constants import ELEMENTARY_CHARGE, NEUTRON, PhysicalConstants, constants_from_config
 from .density import (
     _tail_points,
     bottom_density_vs_fermi,
@@ -178,7 +173,27 @@ def _spin_scale(args) -> float:
 
 
 def _constants_meta(c: PhysicalConstants) -> dict:
-    return {**{key: getattr(c, name) for key, name in _CONFIG_KEYS.items()}, "h_Js": c.h}
+    # the fixed hbar, k_B and h print too: they describe the run
+    return {"m_kg": c.m, "g_mps2": c.g, "hbar_Js": c.hbar, "kB_JpK": c.kB, "h_Js": c.h}
+
+
+def _write_out(path: Path, text: str) -> None:
+    # a device (/dev/null, a terminal, a pipe) is written in place; a file gets
+    # the table whole or not at all: a failed write leaves the old one intact
+    if path.exists() and not path.is_file():
+        path.write_text(text, newline="")
+        return
+    target = path.resolve()  # a symlink keeps pointing at the new file
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    tmp.touch(exist_ok=False)  # mode 0666 under the umask, like any new file
+    try:
+        if target.exists():
+            tmp.chmod(target.stat().st_mode & 0o7777)
+        tmp.write_text(text, newline="")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def _render_table(fmt: str, meta: dict, columns: dict[str, np.ndarray]) -> str:
@@ -317,7 +332,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     else:
         try:
-            args.out.write_text(text, newline="")
+            _write_out(args.out, text)
         except OSError as exc:
             print(f"usage error: argument --out: {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE

@@ -3,7 +3,9 @@
 The vertical eigenfunctions are shifted Airy functions and the levels
 are E_n = e_g |a_n|, with a_n the n-th negative zero of Ai. Only the
 vertical problem lives here: the thermodynamics treats the lateral motion
-as an exact continuum. Energies come out in joules.
+as an exact continuum. Energies come out in joules. A state carries the
+constants it was built with, so its wavefunction and turning point need
+no others.
 
 This is the one module that evaluates Ai, which comes from the AMOS
 routines exposed through scipy.special. scipy is imported inside the
@@ -40,12 +42,13 @@ _AIRY_TAIL_CUT = 40.0
 
 @dataclass(frozen=True)
 class EigenState:
-    """One vertical eigenstate: quantum number, energy, Airy zero a_n, and norm."""
+    """One vertical eigenstate: quantum number, energy, Airy zero a_n, norm, constants."""
 
     n_z: int
     energy: float  # J
     zero: float  # a_n < 0
     norm: float  # m^-1/2
+    constants: PhysicalConstants  # the m and g it was built for
 
 
 def airy_zero_asymptotic(n: int) -> float:
@@ -100,10 +103,10 @@ def eigen_state(n_z: int, constants: PhysicalConstants = NEUTRON) -> EigenState:
     zero = airy_zero(n_z)
     slope = float(special.airy(zero)[1])
     norm = constants.alpha ** (1.0 / 6.0) / abs(slope)
-    return EigenState(n_z=n_z, energy=constants.e_g * abs(zero), zero=zero, norm=norm)
+    return EigenState(n_z, constants.e_g * abs(zero), zero, norm, constants)
 
 
-def wavefunction(state: EigenState, z, constants: PhysicalConstants = NEUTRON):
+def wavefunction(state: EigenState, z):
     """Normalized eigenfunction psi(z) = norm * Ai(alpha**(1/3) z + a_n).
 
     ``z`` is a height in meters (scalar or array), z >= 0. Heights far
@@ -115,13 +118,13 @@ def wavefunction(state: EigenState, z, constants: PhysicalConstants = NEUTRON):
     z_arr = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(z_arr)) or np.any(z_arr < 0.0):
         raise DomainError("heights must be finite and nonnegative")
-    arg = constants.alpha ** (1.0 / 3.0) * z_arr + state.zero
+    arg = state.constants.alpha ** (1.0 / 3.0) * z_arr + state.zero
     safe = np.minimum(arg, _AIRY_TAIL_CUT)
     psi = state.norm * np.asarray(special.airy(safe)[0], dtype=float)
     psi = np.where(arg > _AIRY_TAIL_CUT, 0.0, psi)
     return float(psi) if np.isscalar(z) else psi
 
 
-def classical_turning_point(state: EigenState, constants: PhysicalConstants = NEUTRON) -> float:
+def classical_turning_point(state: EigenState) -> float:
     """Height E/(m g) where the potential equals the state's energy (m)."""
-    return state.energy / (constants.m * constants.g)
+    return state.energy / (state.constants.m * state.constants.g)

@@ -1,10 +1,9 @@
 """Finite-temperature thermodynamics of the gravitationally confined Fermi gas.
 
-A gas is fixed by its Fermi energy eps_F alone; fermi_energy and
-particle_number convert between eps_F and N, the particle count per m^2
-of floor. All bulk quantities reduce to functions of the single
-dimensionless temperature t = k_B T / eps_F, so eta_from_t and
-thermo_point carry no unit arguments.
+A gas is fixed by its Fermi energy eps_F alone; particle_number gives
+N, its particle count per m^2 of floor. All bulk quantities reduce to
+functions of the single dimensionless temperature t = k_B T / eps_F, so
+eta_from_t and thermo_point carry no unit arguments.
 The routines take the exponent s of the density of states g(E) ~ E^s:
 TRAPPED (3/2) for the column, FREE (1/2) for free space at the same eps_F.
 """
@@ -44,18 +43,6 @@ class ThermoPoint:
     eta: float  # beta * mu
     mu_over_ef: float
     u_over_nef: float  # U / (N eps_F)
-
-
-def fermi_energy(N: float, constants: PhysicalConstants = NEUTRON) -> float:
-    """Zero-temperature Fermi energy of N particles per m^2 of floor (J).
-
-    eps_F = (hbar^2 / 2m) * (15 pi^2 m^2 g N / hbar^2)**(2/5),
-    the N**(2/5) scaling characteristic of the linear potential.
-    """
-    if not (N > 0.0 and math.isfinite(N)):
-        raise DomainError(f"N must be positive and finite, got {N!r}")
-    packed = 15.0 * math.pi**2 * constants.m**2 * constants.g * N / constants.hbar**2
-    return constants.hbar**2 / (2.0 * constants.m) * packed**0.4
 
 
 def particle_number(eps_F: float, constants: PhysicalConstants = NEUTRON) -> float:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -12,10 +13,18 @@ from pathlib import Path
 
 import pytest
 
+import ucngas
 from ucngas import cli, thermo
 from ucngas.cli import main
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
+# a child process imports the same copy of the package as this test run
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(ucngas.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -28,7 +37,7 @@ def run_cli(args, tmp_path, name="out.txt"):
 
 def run_process(args):
     return subprocess.run(
-        [sys.executable, "-m", "ucngas", *args], capture_output=True, text=True
+        [sys.executable, "-m", "ucngas", *args], capture_output=True, text=True, env=CHILD_ENV
     )
 
 
@@ -91,18 +100,22 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert f"{flag} " in capsys.readouterr().err, argv
-    # finite constants whose gravitational scales or hbar^3 over- or underflow
+    # finite constants whose gravitational scales over- or underflow
     cfg = tmp_path / "extreme.cfg"
-    for text in ("m_kg = 1e200", "m_kg = 1e-200", "hbar_Js = 1e200", "g_mps2 = 1e-300"):
+    for text in ("m_kg = 1e200", "m_kg = 1e-200", "g_mps2 = 1e-300"):
         cfg.write_text(text + "\n")
         for argv in (["eigen", "--n-max", "3"], ["report", "--efermi-k", "1e-3"]):
             capsys.readouterr()
             assert main([*argv, "--config", str(cfg)]) == 1, (text, argv)
             assert f"argument --config: {cfg}: alpha" in capsys.readouterr().err, (text, argv)
-    cfg.write_text("hbar_Js = 1e110\n")
-    capsys.readouterr()
-    assert main(["fig3", "--config", str(cfg)]) == 1
-    assert f"argument --config: {cfg}: hbar^3" in capsys.readouterr().err
+    # hbar and k_B are SI's fixed values: a config that sets one names the key
+    for key in ("hbar_Js", "kB_JpK"):
+        cfg.write_text(f"{key} = 1e-34\n")
+        capsys.readouterr()
+        assert main(["fig3", "--config", str(cfg)]) == 1
+        assert f"argument --config: {cfg}: config line 1: unknown key '{key}'" in (
+            capsys.readouterr().err
+        )
 
 
 def test_out_is_checked_before_compute_and_write_errors_exit_1(capsys, monkeypatch, tmp_path):
@@ -114,6 +127,7 @@ def test_out_is_checked_before_compute_and_write_errors_exit_1(capsys, monkeypat
         "must name a file in an existing directory\n"
     )
     # a write that fails after the compute exits 1 with the same prefix
+    # and leaves no file behind, not even the temporary one
     def full(self, text, newline=None):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
 
@@ -124,6 +138,36 @@ def test_out_is_checked_before_compute_and_write_errors_exit_1(capsys, monkeypat
         f"usage error: argument --out: {out}: {os.strerror(errno.ENOSPC)}\n"
     )
     assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_out_write_keeps_the_old_file(tmp_path):
+    # a child whose files may not grow past 200 bytes fails midway through
+    # the table; the file it was to replace keeps its bytes and its mode
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # EFBIG instead of a kill
+
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"the old table\n")
+    out.chmod(0o640)
+    result = subprocess.run(
+        [sys.executable, "-m", "ucngas", "eigen", "--n-max", "50", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        preexec_fn=limit_file_size,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"usage error: argument --out: {out}: ")
+    assert out.read_bytes() == b"the old table\n"
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert list(tmp_path.iterdir()) == [out]
+    # without the limit the table replaces the file, which keeps its mode
+    assert main(["eigen", "--n-max", "50", "--out", str(out)]) == 0
+    assert out.read_text().startswith("n_z,") and out.stat().st_mode & 0o777 == 0o640
 
 
 def test_table_size_is_bounded(capsys):
@@ -164,7 +208,9 @@ with redirect_stdout(io.StringIO()):
     ]
 print(codes, loaded())
 """
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] []"]
 

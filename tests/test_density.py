@@ -186,8 +186,9 @@ def test_density_validation():
     with pytest.raises(DomainError):
         density(0.1, -1e-9, EPS_1MK, C)
     # an eps_F that is not positive, not finite, or overflows the bottom
-    # density is an error naming it, never an inf
-    for eps_F in (0.0, -1.0, math.inf, 1e200):
+    # density (in the division, or in the power as an OverflowError) is an
+    # error naming it, never an inf
+    for eps_F in (0.0, -1.0, math.inf, 1e200, 1e300):
         for call in (lambda: density_zero_T(0.0, eps_F, C), lambda: density(0.1, 0.0, eps_F, C)):
             with pytest.raises(DomainError, match=re.escape(f"eps_F = {eps_F!r} J")):
                 call()
@@ -195,6 +196,9 @@ def test_density_validation():
         density(1e-5, 0.0, EPS_1MK, C)  # below the solver range
     with pytest.raises(DomainError):
         density_ratio(0.1, -0.5)
+    for t in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="reduced temperature must be nonnegative"):
+            ratio_grid(t)
     with pytest.raises(DomainError):
         diluteness(-1.0, 1e-3, C)
     with pytest.raises(DomainError):

@@ -33,9 +33,9 @@ AIP_AT_A1 = 0.70121082272069136  # |Ai'| at the first zero, 30-digit refinement
 PEV = 1.0e-12 * ELEMENTARY_CHARGE  # J
 
 
-def _tail_end(state, constants=PhysicalConstants()):
+def _tail_end(state):
     # quadrature cutoff: turning point plus ten decay lengths
-    return classical_turning_point(state, constants) + 10.0 * constants.l_g
+    return classical_turning_point(state) + 10.0 * state.constants.l_g
 
 
 # ---- Airy zeros ----
@@ -180,11 +180,13 @@ def test_wavefunction_tail_is_exactly_zero():
 
 
 def test_wavefunction_normalized():
-    state = eigen_state(1)
-    integral, _ = integrate.quad(
-        lambda z: wavefunction(state, z) ** 2, 0.0, _tail_end(state), limit=200
-    )
-    assert integral == pytest.approx(1.0, abs=1e-8)
+    # a state carries its constants: one for a millionth of standard gravity
+    # is normalized on its own length scale, with no constants passed
+    for state in (eigen_state(1), eigen_state(1, PhysicalConstants(g=9.80665e-6))):
+        integral, _ = integrate.quad(
+            lambda z: wavefunction(state, z) ** 2, 0.0, _tail_end(state), limit=200
+        )
+        assert integral == pytest.approx(1.0, abs=1e-8), state.constants
 
 
 def test_wavefunction_orthogonal_pairs():
@@ -288,3 +290,6 @@ def test_turning_point():
     assert classical_turning_point(state) == pytest.approx(
         state.energy / (c.m * c.g), rel=1e-15
     )
+    weak = PhysicalConstants(g=9.80665e-6)
+    state = eigen_state(1, weak)
+    assert classical_turning_point(state) == pytest.approx(abs(state.zero) * weak.l_g, rel=1e-12)

@@ -15,7 +15,6 @@ from ucngas import (
     beta_epsf_from_eta,
     eta_from_t,
     fermi_dirac,
-    fermi_energy,
     particle_number,
     ratio_grid,
     thermo_point,
@@ -32,15 +31,9 @@ MAXWELL_TAIL = 1.0 / (2.5 * math.gamma(2.5))
 
 
 def test_fermi_energy_particle_number_scaling():
-    base = fermi_energy(1e20)
-    assert fermi_energy(32e20) == pytest.approx(4.0 * base, rel=1e-12)
-
-
-def test_fermi_energy_round_trip():
-    c = PhysicalConstants()
-    for N in (1e18, 3.045377e21):
-        eps = fermi_energy(N, c)
-        assert particle_number(eps, c) == pytest.approx(N, rel=1e-10)
+    # N grows as eps_F^(5/2) in the linear potential
+    base = particle_number(1e-30)
+    assert particle_number(4e-30) == pytest.approx(32.0 * base, rel=1e-12)
 
 
 def test_one_millikelvin_column():
@@ -50,8 +43,9 @@ def test_one_millikelvin_column():
 
 
 def test_gas_spec_consistency():
-    with pytest.raises(DomainError):
-        fermi_energy(0.0)
+    for eps_F in (0.0, math.nan):
+        with pytest.raises(DomainError, match="eps_F must be positive and finite"):
+            particle_number(eps_F)
     # particle numbers that over- or underflow a double are domain errors too
     for eps_F in (1e127, 1e277, 1e-303):
         with pytest.raises(DomainError, match=re.escape(f"eps_F = {eps_F!r} J")):
@@ -180,6 +174,9 @@ def test_eta_domain():
     for bad in (5e-5, 2e3, 0.0, -1.0, float("nan")):
         with pytest.raises(DomainError):
             eta_from_t(bad)
+    # F_3/2 underflows to 0.0 at an eta this low, so no t corresponds to it
+    with pytest.raises(DomainError, match=r"eta -1000\.0 maps to a vanishing beta\*eps_F"):
+        thermo_point_from_eta(-1000.0)
 
 
 def test_mu_reference_values():
