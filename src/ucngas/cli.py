@@ -177,6 +177,14 @@ def _constants_meta(c: PhysicalConstants) -> dict:
     return {"m_kg": c.m, "g_mps2": c.g, "hbar_Js": c.hbar, "kB_JpK": c.kB, "h_Js": c.h}
 
 
+def _is_stdout(path: Path) -> bool:
+    # the process's stdout, even a file that >> appends to, is written, not replaced
+    try:
+        return os.path.samestat(path.stat(), os.fstat(sys.stdout.fileno()))
+    except OSError:  # no such file yet, or a stdout without a descriptor
+        return False
+
+
 def _write_out(path: Path, text: str) -> None:
     # a device (/dev/null, a terminal, a pipe) is written in place; a file gets
     # the table whole or not at all: a failed write leaves the old one intact
@@ -328,7 +336,7 @@ def main(argv=None) -> int:
     else:  # report, always JSON
         text = json.dumps({"meta": meta, "summary": result}, indent=2, sort_keys=True) + "\n"
 
-    if args.out is None:
+    if args.out is None or _is_stdout(args.out):
         sys.stdout.write(text)
     else:
         try:

@@ -21,10 +21,9 @@ from .specfun import FD_ETA_MAX, FD_ORDERS, fermi_dirac
 
 T_DIMLESS_MIN = 1.0e-4
 T_DIMLESS_MAX = 1.0e3
-_ETA_FLOOR = -60.0  # beta*eps_F is far below 1/T_DIMLESS_MAX here already
 # Newton stops once a step is this small relative to max(|eta|, 1); the
 # convergence is quadratic by then, so the step taken leaves eta exact to
-# rounding. The cap is far above the iterations any t in the window takes.
+# rounding. The cap is far above the five steps any t in the window takes.
 _NEWTON_TOL = 1.0e-12
 _NEWTON_MAX_ITER = 60
 
@@ -85,40 +84,32 @@ def _check_t(t):
 
 
 def _solve_eta(t: np.ndarray, s: float) -> np.ndarray:
-    """eta at every t of a 1-D array, by one safeguarded Newton solve.
+    """eta at every t of a 1-D array, by one Newton solve.
 
-    Solves g(eta) = ln((s+1) F_s(eta)) + (s+1) ln t = 0, whose slope is
-    s F_{s-1}(eta) / F_s(eta). Each t keeps a bracket, which always holds
-    the root for s in {1/2, 3/2, 5/2} and t in [T_DIMLESS_MIN, T_DIMLESS_MAX]:
-    at the top F_s(eta) > eta^(s+1)/(s+1) for eta > 0, so beta*eps_F(hi) >
-    hi >= 1/t, which also keeps hi inside the integrals' |eta| cap; at the
-    bottom beta*eps_F(_ETA_FLOOR) is about e^-24, far below 1/T_DIMLESS_MAX.
-    A step that leaves the bracket becomes a bisection. Every element
-    follows its own iterates, so a t gives the same bits alone or in an
-    array.
+    Drives h(eta) = (s+1) t^(s+1) F_s(eta) - 1 to zero, whose slope is
+    (s+1) t^(s+1) s F_{s-1}(eta). For s in {1/2, 3/2, 5/2} h increases and
+    is convex, since F_s'' = s F_{s-1}' > 0, so a step from left of the root
+    lands at or right of it and every later iterate falls monotonically onto
+    it. The only bound needed is hi, which lies right of the root for t in
+    [T_DIMLESS_MIN, T_DIMLESS_MAX]: F_s(eta) > eta^(s+1)/(s+1) for eta > 0,
+    so beta*eps_F(hi) > hi >= 1/t, and hi stays inside the integrals' |eta|
+    cap. Every element follows its own iterates, so a t gives the same bits
+    alone or in an array.
     """
     if not (s in FD_ORDERS and s - 1.0 in FD_ORDERS):
         raise DomainError(f"the eta solve needs F_s and F_(s-1) in {FD_ORDERS}, got s={s!r}")
-    target = -(s + 1.0) * np.log(t)
-    lo = np.full_like(t, _ETA_FLOOR)
+    scale = (s + 1.0) * np.power(t, s + 1.0)
     hi = np.minimum(1.0 / t + 1.0, FD_ETA_MAX)
     # the larger of the Maxwell estimate, a lower bound on the root, and
     # the two-term degenerate one; either is good where it is the larger
-    eta = np.maximum(-math.lgamma(s + 2.0) + target, 1.0 / t - math.pi**2 / 6.0 * s * t)
-    eta = np.clip(eta, lo, hi)
+    eta = np.maximum(-np.log(math.gamma(s + 1.0) * scale), 1.0 / t - math.pi**2 / 6.0 * s * t)
+    eta = np.minimum(eta, hi)
     active = np.arange(t.size)
     for _ in range(_NEWTON_MAX_ITER):
-        x = eta[active]
-        f = fermi_dirac(s, x)
-        g = np.log((s + 1.0) * f) - target[active]
-        lo[active] = np.where(g < 0.0, x, lo[active])
-        hi[active] = np.where(g > 0.0, x, hi[active])
-        step = g * f / (s * fermi_dirac(s - 1.0, x))
-        new = x - step
-        outside = ~((new >= lo[active]) & (new <= hi[active]))
-        new[outside] = 0.5 * (lo[active] + hi[active])[outside]
-        eta[active] = new
-        done = ~outside & (np.abs(step) <= _NEWTON_TOL * np.maximum(np.abs(x), 1.0))
+        x, c = eta[active], scale[active]
+        step = (c * fermi_dirac(s, x) - 1.0) / (c * s * fermi_dirac(s - 1.0, x))
+        eta[active] = np.minimum(x - step, hi[active])
+        done = np.abs(step) <= _NEWTON_TOL * np.maximum(np.abs(x), 1.0)
         active = active[~done]
         if active.size == 0:
             break

@@ -257,3 +257,13 @@ def move_accepted(report: dict) -> bool:
         and median_after <= median_before
         and report["nearer"] >= report["farther"]
     )
+
+
+def move_summary(report: dict) -> str:
+    """One stage's report in a line: moved, nearer / farther, worst and median before -> after."""
+    (worst_before, worst_after), (median_before, median_after) = report["worst"], report["median"]
+    return (
+        f"{report['moved']} moved, {report['nearer']} nearer / {report['farther']} farther, "
+        f"worst {worst_before:.2f} -> {worst_after:.2f} ulp, "
+        f"median {median_before:.2f} -> {median_after:.2f} ulp"
+    )

@@ -14,8 +14,10 @@ argument of every fermi_dirac call outside an eta solve (stage "F_j").
 It evaluates the distinct inputs of each stage with the parent's library,
 in a child process, and with the working tree's, and writes every input
 whose value moved as a row (input, before, after), replacing the previous
-record. test_acceptance.test_golden_moves_follow_the_regeneration_rule
-then judges the record.
+record. It then prints the regeneration rule's verdict on each stage (the
+values moved, nearer / farther, worst and median error before -> after,
+accepted or rejected), which
+test_acceptance.test_golden_moves_follow_the_regeneration_rule asserts.
 """
 
 from __future__ import annotations
@@ -117,6 +119,7 @@ def main() -> None:
     parser.add_argument("goldens", nargs="+", help="golden table names, e.g. fig2.json")
     args = parser.parse_args()
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+    from oracles import judge_moves, move_accepted, move_summary
     from test_acceptance import GOLDEN_CASES
 
     cases = dict(GOLDEN_CASES)
@@ -135,6 +138,9 @@ def main() -> None:
             moves[stage] = rows
         print(f"{stage}: {len(rows)} of {len(x)} distinct inputs moved")
     _write(TESTS / "golden" / "moved.json", args.goldens, moves)
+    for stage, report in judge_moves(moves).items():
+        verdict = "accepted" if move_accepted(report) else "rejected"
+        print(f"{stage}: {move_summary(report)}: {verdict}")
 
 
 if __name__ == "__main__":

@@ -446,7 +446,7 @@ def test_golden_fig2_rows_moved_toward_mpmath():
 
 def test_golden_moves_follow_the_regeneration_rule():
     pytest.importorskip("mpmath")
-    from oracles import judge_moves, move_accepted
+    from oracles import judge_moves, move_accepted, move_summary
 
     record = json.loads((GOLDEN_DIR / "moved.json").read_text())
     assert record["columns"] == ["input", "before", "after"]
@@ -459,13 +459,8 @@ def test_golden_moves_follow_the_regeneration_rule():
     reports = judge_moves(record["moves"])
     elapsed = time.perf_counter() - start
     for stage, r in reports.items():
-        (worst_before, worst_after), (median_before, median_after) = r["worst"], r["median"]
         _verdict(
-            f"moved {stage}",
-            move_accepted(r),
-            f"{r['moved']} moved, {r['nearer']} nearer / {r['farther']} farther, worst "
-            f"{worst_before:.2f} -> {worst_after:.2f} ulp, median {median_before:.2f} -> "
-            f"{median_after:.2f} ulp (judged in {elapsed:.2f} s)",
+            f"moved {stage}", move_accepted(r), f"{move_summary(r)} (judged in {elapsed:.2f} s)"
         )
 
 

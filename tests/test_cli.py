@@ -170,6 +170,25 @@ def test_failed_out_write_keeps_the_old_file(tmp_path):
     assert out.read_text().startswith("n_z,") and out.stat().st_mode & 0o777 == 0o640
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_naming_stdout_keeps_what_stdout_appended_to(capsys, tmp_path):
+    # `--out /dev/stdout >> f` appends the table to f; it does not replace f
+    assert main(["eigen", "--n-max", "3"]) == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "f"
+    out.write_bytes(b"keep\n")
+    with out.open("ab") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "ucngas", "eigen", "--n-max", "3", "--out", "/dev/stdout"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=CHILD_ENV,
+        )
+    assert result.returncode == 0, result.stderr
+    assert out.read_text() == "keep\n" + table
+
+
 def test_table_size_is_bounded(capsys):
     start = time.perf_counter()
     assert main(["fig2", "--z-steps", "100000000"]) == 1

@@ -22,7 +22,7 @@ from ucngas import (
 )
 from ucngas import thermo
 from ucngas.specfun import FD_ETA_MAX
-from ucngas.thermo import _ETA_FLOOR, T_DIMLESS_MAX, T_DIMLESS_MIN
+from ucngas.thermo import T_DIMLESS_MAX, T_DIMLESS_MIN
 from oracles import nested_number_term
 
 BETA_EF_AT_ETA0 = 1.5271375952969733
@@ -79,13 +79,18 @@ def test_eta_solver_residual():
         assert beta_epsf_from_eta(eta_from_t(t)) * t == pytest.approx(1.0, rel=1e-10)
 
 
-def test_eta_bracket_holds_the_root_across_the_window():
-    # the Newton solve starts from this bracket for every exponent it accepts;
-    # s = -1/2 is not one of them (it would need F_(-3/2)), nor does it hold there
+def test_eta_solve_bound_and_round_budget(monkeypatch):
+    # Newton's iterates never pass hi, which lies right of the root for every
+    # exponent the solve accepts; s = -1/2 is not one of them (it would need F_(-3/2))
     for s in (0.5, 1.5, 2.5):
         for t in (T_DIMLESS_MIN, T_DIMLESS_MAX):
             hi = min(1.0 / t + 1.0, FD_ETA_MAX)
-            assert beta_epsf_from_eta(_ETA_FLOOR, s) < 1.0 / t <= beta_epsf_from_eta(hi, s)
+            assert 1.0 / t <= beta_epsf_from_eta(hi, s)
+    # on the convex residual every t of the window converges within five steps
+    monkeypatch.setattr(thermo, "_NEWTON_MAX_ITER", 5)
+    t = np.geomspace(T_DIMLESS_MIN, T_DIMLESS_MAX, 20001)
+    for s in (0.5, 1.5, 2.5):
+        eta_from_t(t, s)
 
 
 def test_eta_residual_error_names_t_and_s(monkeypatch):
@@ -126,6 +131,23 @@ def test_vector_eta_solve_matches_mpmath_across_the_window():
         for t_k, eta_k in zip(t, eta):
             exact = float(eta_from_t_mp(float(t_k), s, dps=20))
             assert abs(eta_k - exact) <= 1e-13 * max(abs(exact), 1.0), (s, t_k)
+
+
+def test_eta_matches_mpmath_within_3_ulp():
+    # the residual (s+1) t^(s+1) F_s(eta) - 1 has no logarithm to round, so
+    # eta is as good as F_s: about 2.4 ulp of max(|eta|, 1) at worst
+    mp = pytest.importorskip("mpmath")
+    from oracles import _eta_polish_mp
+
+    t = np.geomspace(T_DIMLESS_MIN, T_DIMLESS_MAX, 61)
+    for s in (FREE, 1.5):
+        errors = []
+        with mp.workdps(25):
+            for t_k, eta_k in zip(t.tolist(), eta_from_t(t, s).tolist()):
+                exact = _eta_polish_mp(t_k, s, eta_k, 25)
+                ulp = math.ulp(max(abs(float(exact)), 1.0))
+                errors.append(float(abs(mp.mpf(eta_k) - exact)) / ulp)
+        assert max(errors) <= 3.0, (s, max(errors))
 
 
 def test_thermo_arrays_match_scalars_bit_for_bit(monkeypatch):
