@@ -15,6 +15,7 @@ from .density import (
     density_ratio,
     density_zero_T,
     diluteness,
+    particle_number,
     ratio_grid,
 )
 from .eigen import (
@@ -35,7 +36,6 @@ from .thermo import (
     ThermoPoint,
     beta_epsf_from_eta,
     eta_from_t,
-    particle_number,
     thermo_point,
     thermo_point_from_eta,
 )

@@ -23,6 +23,7 @@ from .density import (
     density,
     density_ratio,
     diluteness,
+    particle_number,
     ratio_grid,
 )
 from .eigen import ZERO_INDEX_MAX, eigen_energy_asymptotic, eigen_energy_exact
@@ -33,7 +34,6 @@ from .thermo import (
     T_DIMLESS_MIN,
     TRAPPED,
     eta_from_t,
-    particle_number,
     thermo_point,
     thermo_point_from_eta,
 )
@@ -177,12 +177,15 @@ def _constants_meta(c: PhysicalConstants) -> dict:
     return {"m_kg": c.m, "g_mps2": c.g, "hbar_Js": c.hbar, "kB_JpK": c.kB, "h_Js": c.h}
 
 
-def _is_stdout(path: Path) -> bool:
-    # the process's stdout, even a file that >> appends to, is written, not replaced
-    try:
-        return os.path.samestat(path.stat(), os.fstat(sys.stdout.fileno()))
-    except OSError:  # no such file yet, or a stdout without a descriptor
-        return False
+def _std_stream(path: Path):
+    # stdout or stderr, even a file that >> appends to, is written through, not replaced
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if os.path.samestat(path.stat(), os.fstat(stream.fileno())):
+                return stream
+        except OSError:  # no such file yet, or a stream without a descriptor
+            pass
+    return None
 
 
 def _write_out(path: Path, text: str) -> None:
@@ -336,8 +339,9 @@ def main(argv=None) -> int:
     else:  # report, always JSON
         text = json.dumps({"meta": meta, "summary": result}, indent=2, sort_keys=True) + "\n"
 
-    if args.out is None or _is_stdout(args.out):
-        sys.stdout.write(text)
+    stream = sys.stdout if args.out is None else _std_stream(args.out)
+    if stream is not None:
+        stream.write(text)
     else:
         try:
             _write_out(args.out, text)

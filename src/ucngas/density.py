@@ -1,9 +1,10 @@
 """Spatial density of the trapped gas at zero and finite temperature.
 
-The gas is given by its Fermi energy eps_F in joules. Densities include
-the spin degeneracy factor 2, which is what number conservation
-requires; the CLI's ``--paper-literal`` halves them on output to match
-the published normalization.
+The gas is given by its Fermi energy eps_F in joules. The zero-T bottom
+density n(0, 0), the fig3 curve and the particle number N per m^2 share
+one closed form. Densities include the spin degeneracy factor 2, which
+number conservation requires; the CLI's ``--paper-literal`` halves them
+on output to match the published normalization.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ def _check_height(z: float) -> float:
     return z
 
 
-def _zero_t(energy: float, c: PhysicalConstants) -> float:
-    # (2 m energy)^(3/2) / (3 pi^2 hbar^3), spin factor 2 included; inf on overflow
-    try:
-        return (2.0 * c.m * energy) ** 1.5 / (3.0 * math.pi**2 * c.hbar**3)
-    except OverflowError:
-        return math.inf
+# hbar is fixed, so the zero-T normalization is formed once
+_THREE_PI2_HBAR3 = 3.0 * math.pi**2 * PhysicalConstants.hbar**3
+
+
+def _zero_t(two_m, energy):
+    # (two_m energy)^(3/2) / (3 pi^2 hbar^3), spin factor 2 included; inf on overflow.
+    # float_power is the C library's pow, the one a float's ** calls
+    with np.errstate(over="ignore"):
+        return np.float_power(two_m * energy, 1.5) / _THREE_PI2_HBAR3
 
 
 def density(
@@ -74,10 +78,24 @@ def density_zero_T(z: float, eps_F: float, constants: PhysicalConstants = NEUTRO
     """
     z = _check_height(z)
     eps_F = float(eps_F)
-    if not (0.0 < eps_F < math.inf and _zero_t(eps_F, constants) < math.inf):
+    if not (0.0 < eps_F < math.inf and _zero_t(2.0 * constants.m, eps_F) < math.inf):
         raise DomainError(f"eps_F = {eps_F!r} J must be positive and give a finite bottom density")
     local = eps_F - constants.m * constants.g * z
-    return _zero_t(local, constants) if local > 0.0 else 0.0
+    return float(_zero_t(2.0 * constants.m, local)) if local > 0.0 else 0.0
+
+
+def particle_number(eps_F: float, constants: PhysicalConstants = NEUTRON) -> float:
+    """Particles per m^2 of floor, N = (2/5) n(0, 0) eps_F / (m g), at Fermi energy eps_F (J).
+
+    Raises DomainError when eps_F is not positive and finite, or when the
+    count over- or underflows a double.
+    """
+    if not (eps_F > 0.0 and math.isfinite(eps_F)):
+        raise DomainError(f"eps_F must be positive and finite, got {eps_F!r}")
+    N = float(_zero_t(2.0 * constants.m, eps_F)) * (2.0 * eps_F) / (5.0 * constants.m * constants.g)
+    if not (0.0 < N < math.inf):
+        raise DomainError(f"eps_F = {eps_F!r} J over- or underflows the particle number")
+    return N
 
 
 def density_ratio(t, mgz_over_ef):
@@ -109,10 +127,7 @@ def bottom_density_vs_fermi(
     temps = np.asarray(fermi_temperatures_K, dtype=float)
     if np.any(~np.isfinite(temps)) or np.any(temps <= 0.0):
         raise DomainError("Fermi temperatures must be positive and finite")
-    with np.errstate(over="ignore"):
-        n0 = (2.0 * constants.m * constants.kB * temps) ** 1.5 / (
-            3.0 * math.pi**2 * constants.hbar**3
-        )
+    n0 = _zero_t(2.0 * constants.m * constants.kB, temps)  # E = k_B T
     overflow = ~np.isfinite(n0)
     if overflow.any():
         raise DomainError(

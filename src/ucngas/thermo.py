@@ -1,9 +1,8 @@
 """Finite-temperature thermodynamics of the gravitationally confined Fermi gas.
 
-A gas is fixed by its Fermi energy eps_F alone; particle_number gives
-N, its particle count per m^2 of floor. All bulk quantities reduce to
-functions of the single dimensionless temperature t = k_B T / eps_F, so
-eta_from_t and thermo_point carry no unit arguments.
+A gas is fixed by its Fermi energy eps_F alone. All bulk quantities
+reduce to functions of the single dimensionless temperature
+t = k_B T / eps_F, so eta_from_t and thermo_point carry no unit arguments.
 The routines take the exponent s of the density of states g(E) ~ E^s:
 TRAPPED (3/2) for the column, FREE (1/2) for free space at the same eps_F.
 """
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import NEUTRON, PhysicalConstants
 from .errors import DomainError, NumericalError
 from .specfun import FD_ETA_MAX, FD_ORDERS, fermi_dirac
 
@@ -42,24 +40,6 @@ class ThermoPoint:
     eta: float  # beta * mu
     mu_over_ef: float
     u_over_nef: float  # U / (N eps_F)
-
-
-def particle_number(eps_F: float, constants: PhysicalConstants = NEUTRON) -> float:
-    """Particles per m^2 of floor giving Fermi energy ``eps_F`` (J).
-
-    Raises DomainError when eps_F is not positive and finite, or when the
-    count over- or underflows a double.
-    """
-    if not (eps_F > 0.0 and math.isfinite(eps_F)):
-        raise DomainError(f"eps_F must be positive and finite, got {eps_F!r}")
-    m, g, hbar = constants.m, constants.g, constants.hbar
-    try:
-        N = (2.0 * m * eps_F / hbar**2) ** 2.5 * hbar**2 / (15.0 * math.pi**2 * m**2 * g)
-    except OverflowError:
-        N = math.inf
-    if not (0.0 < N < math.inf):
-        raise DomainError(f"eps_F = {eps_F!r} J over- or underflows the particle number")
-    return N
 
 
 def beta_epsf_from_eta(eta, s: float = TRAPPED):

@@ -14,6 +14,8 @@ import numpy as np
 from scipy import integrate, special
 from scipy.linalg import eigh_tridiagonal
 
+from ucngas.constants import NEUTRON
+
 
 def bouncer_levels_fd(n_levels: int, constants, n_grid: int = 10_000, s_max: float = 40.0):
     """Lowest bouncer energies (J) from a finite-difference discretization.
@@ -167,6 +169,18 @@ def fermi_dirac_mp(j: float, eta, dps: int = 40):
         return mp.re(-mp.gamma(j + 1) * mp.polylog(j + 1, -mp.exp(eta)))
 
 
+def bottom_density_mp(eps_F, constants, dps: int = 40):
+    """Zero-temperature bottom density (2 m eps_F)^(3/2) / (3 pi^2 hbar^3) at dps digits.
+
+    eps_F (J) may be a double or an mpf formed at dps digits, such as k_B T.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m, hbar = mp.mpf(constants.m), mp.mpf(constants.hbar)
+        return (2 * m * mp.mpf(eps_F)) ** mp.mpf(1.5) / (3 * mp.pi**2 * hbar**3)
+
+
 def eta_from_t_mp(t: float, s: float, dps: int = 40):
     """Root eta of (s+1) F_s(eta) = t^-(s+1), by Newton's method at dps digits.
 
@@ -217,7 +231,10 @@ def judge_moves(moves: dict, dps: int = 20) -> dict:
     value; stage "eta_s" maps t to the eta(t) of density-of-states exponent
     s, with its error in ulps of max(|eta|, 1), the scale the library's
     solve stops on; its exact root is one mpmath Newton step from the
-    "after" value. mpmath runs at the moved inputs only, at dps digits;
+    "after" value. Stage "n0_K" maps a Fermi temperature T in kelvin to the
+    zero-temperature bottom density (2 m k_B T)^(3/2) / (3 pi^2 hbar^3) of
+    the default gas, with its error in ulps of the exact value. mpmath runs
+    at the moved inputs only, at dps digits;
     20 resolve 1e-4 ulp. Each stage's report holds the moved count, how
     many moved nearer and how many farther, and the (before, after) pairs
     of the worst and median error.
@@ -232,6 +249,9 @@ def judge_moves(moves: dict, dps: int = 20) -> dict:
             for x, before, after in rows:
                 if kind == "F":
                     exact = fermi_dirac_mp(float(order), x, dps)
+                    ulp = math.ulp(float(exact))
+                elif kind == "n0":
+                    exact = bottom_density_mp(mp.mpf(NEUTRON.kB) * x, NEUTRON, dps)
                     ulp = math.ulp(float(exact))
                 else:
                     exact = _eta_polish_mp(x, float(order), after, dps)

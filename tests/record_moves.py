@@ -9,8 +9,10 @@ tables the change regenerates:
 
 Each name is a golden table of test_acceptance.GOLDEN_CASES. The script
 runs each request with the working tree's library and collects its stage
-inputs: the t of every eta_from_t call (stage "eta_s") and the double
-argument of every fermi_dirac call outside an eta solve (stage "F_j").
+inputs: the t of every eta_from_t call (stage "eta_s"), the double
+argument of every fermi_dirac call outside an eta solve (stage "F_j"), and
+the Fermi temperatures of every bottom_density_vs_fermi call (stage "n0_K",
+evaluated with the default constants, which every golden request uses).
 It evaluates the distinct inputs of each stage with the parent's library,
 in a child process, and with the working tree's, and writes every input
 whose value moved as a row (input, before, after), replacing the previous
@@ -37,13 +39,15 @@ TESTS = Path(__file__).resolve().parent
 def _evaluate(inputs: dict[str, list[float]]) -> dict[str, list[float]]:
     # each stage at its inputs, with whichever ucngas this process imports
     import numpy as np
-    from ucngas import eta_from_t, fermi_dirac
+    from ucngas import bottom_density_vs_fermi, eta_from_t, fermi_dirac
 
     values = {}
     for stage, x in inputs.items():
         kind, order = stage.split("_")
         if kind == "F":
             values[stage] = fermi_dirac(float(order), np.array(x)).tolist()
+        elif kind == "n0":
+            values[stage] = bottom_density_vs_fermi(np.array(x)).tolist()
         else:
             values[stage] = eta_from_t(np.array(x), float(order)).tolist()
     return values
@@ -53,7 +57,8 @@ def _stage_inputs(requests: list[list[str]]) -> dict[str, list[float]]:
     # run every request with the stage functions wrapped wherever ucngas binds them
     import numpy as np
     import ucngas.cli
-    from ucngas import TRAPPED, eta_from_t, fermi_dirac
+    from ucngas import TRAPPED, bottom_density_vs_fermi, eta_from_t, fermi_dirac
+    from ucngas.constants import NEUTRON
 
     seen: dict[str, list] = {}
     in_solve = False  # an eta solve's own F_j calls belong to the eta stage
@@ -75,7 +80,15 @@ def _stage_inputs(requests: list[list[str]]) -> dict[str, list[float]]:
         finally:
             in_solve = False
 
-    wrappers = ((fermi_dirac, fermi_dirac_recorded), (eta_from_t, eta_from_t_recorded))
+    def bottom_density_recorded(temps, constants=NEUTRON):
+        record("n0_K", temps)
+        return bottom_density_vs_fermi(temps, constants)
+
+    wrappers = (
+        (fermi_dirac, fermi_dirac_recorded),
+        (eta_from_t, eta_from_t_recorded),
+        (bottom_density_vs_fermi, bottom_density_recorded),
+    )
     bindings = [
         (module, attr, original, wrapper)
         for name, module in list(sys.modules.items())

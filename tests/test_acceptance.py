@@ -447,14 +447,13 @@ def test_golden_fig2_rows_moved_toward_mpmath():
 def test_golden_moves_follow_the_regeneration_rule():
     pytest.importorskip("mpmath")
     from oracles import judge_moves, move_accepted, move_summary
+    from record_moves import _evaluate
 
     record = json.loads((GOLDEN_DIR / "moved.json").read_text())
     assert record["columns"] == ["input", "before", "after"]
+    now = _evaluate({stage: [row[0] for row in rows] for stage, rows in record["moves"].items()})
     for stage, rows in record["moves"].items():
-        kind, order = stage.split("_")
-        inputs = np.array([row[0] for row in rows])
-        now = fermi_dirac(float(order), inputs) if kind == "F" else eta_from_t(inputs, float(order))
-        assert now.tolist() == [row[2] for row in rows], f"{stage}: the library no longer gives 'after'"
+        assert now[stage] == [row[2] for row in rows], f"{stage}: the library no longer gives 'after'"
     start = time.perf_counter()
     reports = judge_moves(record["moves"])
     elapsed = time.perf_counter() - start

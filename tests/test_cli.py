@@ -189,6 +189,25 @@ def test_out_naming_stdout_keeps_what_stdout_appended_to(capsys, tmp_path):
     assert out.read_text() == "keep\n" + table
 
 
+def test_out_naming_stderr_keeps_what_stderr_appended_to(capsys, tmp_path):
+    # `--out /dev/stderr 2>> e` appends the table to e; it does not replace e
+    assert main(["eigen", "--n-max", "3"]) == 0
+    table = capsys.readouterr().out
+    err = tmp_path / "e"
+    err.write_bytes(b"keep\n")
+    with err.open("ab") as stderr:
+        result = subprocess.run(
+            [sys.executable, "-m", "ucngas", "eigen", "--n-max", "3", "--out", "/dev/stderr"],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+            env=CHILD_ENV,
+        )
+    assert result.returncode == 0, err.read_text()
+    assert result.stdout == ""
+    assert err.read_text() == "keep\n" + table
+
+
 def test_table_size_is_bounded(capsys):
     start = time.perf_counter()
     assert main(["fig2", "--z-steps", "100000000"]) == 1

@@ -19,7 +19,7 @@ from ucngas import (
     particle_number,
     ratio_grid,
 )
-from oracles import column_number
+from oracles import bottom_density_mp, column_number
 
 C = PhysicalConstants()
 EPS_1MK = C.kB * 1e-3
@@ -159,6 +159,38 @@ def test_bottom_density_curve():
         bottom_density_vs_fermi([1e-3, 1e300], C)
 
 
+def _ulps(value, exact) -> float:
+    return float(abs(exact - float(value))) / math.ulp(float(exact))
+
+
+def test_bottom_density_matches_mpmath_within_2_5_ulp():
+    # the fig3 curve over its default window, against (2 m k_B T)^(3/2) / (3 pi^2 hbar^3)
+    mp = pytest.importorskip("mpmath")
+    temps = np.geomspace(1e-6, 1e-1, 400)
+    with mp.workdps(40):
+        exact = [bottom_density_mp(mp.mpf(C.kB) * T, C) for T in temps.tolist()]
+    errors = [_ulps(v, e) for v, e in zip(bottom_density_vs_fermi(temps, C).tolist(), exact)]
+    assert max(errors) <= 2.5
+
+
+def test_particle_number_matches_mpmath_within_3_ulp():
+    # N = (2/5) n(0, 0) eps_F / (m g), the height integral of the zero-T profile
+    mp = pytest.importorskip("mpmath")
+    errors = []
+    for eps_F in (C.kB * np.geomspace(1e-6, 1e-1, 401)).tolist():
+        with mp.workdps(40):
+            exact = bottom_density_mp(eps_F, C) * 2 * mp.mpf(eps_F) / (5 * mp.mpf(C.m) * mp.mpf(C.g))
+            errors.append(_ulps(particle_number(eps_F, C), exact))
+    assert max(errors) <= 3.0
+
+
+def test_bottom_density_overflow_in_2mkT_is_a_domain_error():
+    # 2 m k_B T itself overflows here, which must raise the same error, not warn
+    heavy = PhysicalConstants(m=1e150, g=1e-250)
+    with pytest.raises(DomainError, match=r"1e\+200 K overflows"):
+        bottom_density_vs_fermi([1.0, 1e200], heavy)
+
+
 def test_diluteness_dilute_storage_numbers():
     report = diluteness(100.0 * 1e6, 1e-3, C)  # 100 cm^-3
     assert report.mean_separation * 100.0 == pytest.approx(0.215, abs=2e-3)  # cm
@@ -186,8 +218,8 @@ def test_density_validation():
     with pytest.raises(DomainError):
         density(0.1, -1e-9, EPS_1MK, C)
     # an eps_F that is not positive, not finite, or overflows the bottom
-    # density (in the division, or in the power as an OverflowError) is an
-    # error naming it, never an inf
+    # density (in the division, or in the power) is an error naming it,
+    # never an inf
     for eps_F in (0.0, -1.0, math.inf, 1e200, 1e300):
         for call in (lambda: density_zero_T(0.0, eps_F, C), lambda: density(0.1, 0.0, eps_F, C)):
             with pytest.raises(DomainError, match=re.escape(f"eps_F = {eps_F!r} J")):
