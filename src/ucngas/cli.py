@@ -177,20 +177,37 @@ def _constants_meta(c: PhysicalConstants) -> dict:
     return {"m_kg": c.m, "g_mps2": c.g, "hbar_Js": c.hbar, "kB_JpK": c.kB, "h_Js": c.h}
 
 
-def _std_stream(path: Path):
-    # stdout or stderr, even a file that >> appends to, is written through, not replaced
-    for stream in (sys.stdout, sys.stderr):
+def _open_descriptor(path: Path) -> int | None:
+    # a descriptor this process holds open for writing on the same file, as
+    # `>> f`, `2>> f` or `3>> f` leave it; /dev/fd lists them where it exists
+    try:
+        target = path.stat()
+        names = os.listdir("/dev/fd")
+    except OSError:  # no such file yet, or no /dev/fd
+        return None
+    import fcntl  # POSIX only, as /dev/fd is
+
+    for fd in map(int, names):
         try:
-            if os.path.samestat(path.stat(), os.fstat(stream.fileno())):
-                return stream
-        except OSError:  # no such file yet, or a stream without a descriptor
+            if os.path.samestat(target, os.fstat(fd)) and (
+                fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE != os.O_RDONLY
+            ):
+                return fd
+        except OSError:  # the descriptor that listed /dev/fd, closed since
             pass
     return None
 
 
 def _write_out(path: Path, text: str) -> None:
-    # a device (/dev/null, a terminal, a pipe) is written in place; a file gets
-    # the table whole or not at all: a failed write leaves the old one intact
+    # a file the process already writes to is written through that descriptor,
+    # so what >> appended stays; a device (/dev/null, a terminal, a pipe) is
+    # written in place; any other file gets the table whole or not at all: a
+    # failed write leaves the old one intact
+    fd = _open_descriptor(path)
+    if fd is not None:
+        with open(fd, "w", newline="", closefd=False) as stream:
+            stream.write(text)
+        return
     if path.exists() and not path.is_file():
         path.write_text(text, newline="")
         return
@@ -339,13 +356,12 @@ def main(argv=None) -> int:
     else:  # report, always JSON
         text = json.dumps({"meta": meta, "summary": result}, indent=2, sort_keys=True) + "\n"
 
-    stream = sys.stdout if args.out is None else _std_stream(args.out)
-    if stream is not None:
-        stream.write(text)
-    else:
-        try:
-            _write_out(args.out, text)
-        except OSError as exc:
-            print(f"usage error: argument --out: {args.out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
+    if args.out is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        _write_out(args.out, text)
+    except OSError as exc:
+        print(f"usage error: argument --out: {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK

@@ -1,13 +1,16 @@
-"""Complete Fermi-Dirac integrals F_j, with numpy alone.
+"""Complete Fermi-Dirac integrals F_j, with numpy alone and no quadrature.
 
 F_j takes scalars or arrays of eta and evaluates a whole array at once,
-in three branches: for eta <= 0 the alternating series in e^eta with the
-fixed weights of Cohen, Rodriguez Villegas and Zagier (2000, Experimental
-Math. 9, 3, Algorithm 1); Gauss-Legendre panels in z = u^2 for
-0 < eta < 40; and the degenerate reflection formula from 40 up. Against
-mpmath the worst relative error is about 4e-16 for eta <= 0, 9e-16 on
-(0, 40) and 3e-16 from 40 up to 1e4, for every order. Piecewise fits
-(Fukushima 2015, Appl. Math. Comput. 259, 708) could be faster for eta > 0.
+in three branches, each in closed form: for eta <= 0 the alternating
+series in e^eta with the fixed weights of Cohen, Rodriguez Villegas and
+Zagier (2000, Experimental Math. 9, 3, Algorithm 1); on 0 < eta < 40
+piecewise Chebyshev series in eta (the piecewise route of Fukushima 2015,
+Appl. Math. Comput. 259, 708), 40 pieces of degree 16 whose coefficients
+_fd_table holds as one hex string (tests/record_fd_table.py writes it from
+mpmath); and from 40 up the Sommerfeld series in eta^-2, whose
+coefficients are built at import. Against mpmath the worst relative error
+is about 4e-16 for eta <= 0, 2.4e-16 on (0, 40) and 2.6e-16 from 40 up
+to 1e4, for every order.
 """
 
 from __future__ import annotations
@@ -16,38 +19,23 @@ import math
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
+from . import _fd_table
 from .eigen import _PI_34
 from .errors import DomainError
 
 # complete Fermi-Dirac integrals are provided for these orders only
 FD_ORDERS = (-0.5, 0.5, 1.5, 2.5)
 FD_ETA_MAX = 1.0e4
-# one 32-node Gauss-Legendre rule on [-1, 1] serves every panel; against
-# mpmath 16 nodes reach only 2e-9 and 24 nodes 3e-13
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
-# middle branch: panels per segment between the edges 0, sqrt(eta) and sqrt(eta + 50);
-# grading them towards the Fermi edge u = sqrt(eta) keeps the error near 1e-15
-_MID_PANELS = np.array([4, 6])
-_MID_SEGMENT = np.repeat(np.arange(2), _MID_PANELS)
-_MID_OFFSET = np.concatenate([np.arange(n) for n in _MID_PANELS]) + 0.5
-# the reflection serves eta >= 40 on 4 panels of w in [0, 40], past which 1/(e^w + 1)
-# is below e^-40 of its peak; the Fermi factor is folded into the weights. Its largest
-# node is w = 39.986 < eta, so (eta - w)^j stays real; near w = eta = 40, where that
-# power is not smooth, the weight is already e^-40 of its peak
+# the Sommerfeld series serves eta >= 40; there its 12 terms are within 1e-17 of F_j
 _FD_DEGENERATE = 40.0
-_DEG_HALF = _FD_DEGENERATE / 8.0  # half a panel's width
-_DEG_W = (np.arange(4)[:, None] * (2.0 * _DEG_HALF) + _DEG_HALF + _DEG_HALF * _GL_X).ravel()
-_DEG_KERNEL = np.tile(_DEG_HALF * _GL_W, 4) / (np.exp(_DEG_W) + 1.0)
-# eta values per block: keeps the middle branch's temporaries near 1 MB
-_FD_BLOCK = 256
-
-
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    # left-to-right sum over the last axis: ndarray.sum picks its order from
-    # the array's shape, which would make a value depend on its batch
-    return np.cumsum(a, axis=-1)[..., -1]
+# (order, row, piece): piece k of the 40 is the Chebyshev series of F_j in 2 eta - (2k + 1)
+# on [k, k + 1]; row 0 is the rounding error of its c_0, rows 1.. are c_0 (halved), c_1, ...
+_CHEBYSHEV = dict(zip(
+    FD_ORDERS,
+    np.frombuffer(bytes.fromhex(_fd_table.CHEBYSHEV), "<f8")
+    .reshape(len(FD_ORDERS), -1, int(_FD_DEGENERATE)),
+))
 
 
 def _series_coefficients(n: int) -> dict[float, np.ndarray]:
@@ -66,50 +54,80 @@ def _series_coefficients(n: int) -> dict[float, np.ndarray]:
         }
 
 
+def _sommerfeld_coefficients(n: int) -> dict[float, np.ndarray]:
+    # F_j = eta^(j+1)/(j+1) + eta^(j+1) sum_(k=1..n) a_k eta^-2k, a_k = Gamma(j+1)/Gamma(j+2-2k)
+    # 2 (1 - 2^(1-2k)) zeta(2k). With j = m - 1/2 the Gamma ratio is prod_(i<2k-1) (2m-1-2i) /
+    # 2^(2k-1), and zeta(2k) = |B_2k| (2 pi)^2k / (2 (2k)!) with |B_2k| = 2k T_k / (4^k (4^k-1)),
+    # T_k the tangent numbers 1, 2, 16, 272, ..., made by Brent and Harvey's integer recurrence
+    tangent = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, n + 1):
+        for i in range(k, n + 1):
+            tangent[i] = (i - k) * tangent[i - 1] + (i - k + 2) * tangent[i]
+    with localcontext(Context(prec=34)):
+        return {
+            j: np.array([
+                float(math.prod(2 * m - 1 - 2 * i for i in range(2 * k - 1))
+                      * (4**k - 2) * 2 * k * tangent[k] * _PI_34 ** (2 * k)
+                      / (2 ** (2 * k - 1) * 4**k * (4**k - 1) * math.factorial(2 * k)))
+                for k in range(1, n + 1)
+            ])
+            for m, j in enumerate(FD_ORDERS)
+        }
+
+
 _SERIES = _series_coefficients(24)  # error bound 2 (3 + sqrt 8)^-24 = 8e-19 of F_j
+_SOMMERFELD = _sommerfeld_coefficients(12)
+
+
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # sum_k c_k z^k, from the highest power down, as numpy's polyval sums it
+    acc = c[-1] + z * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * z
+    return acc
 
 
 def _fd_series(j: float, eta: np.ndarray) -> np.ndarray:
     # eta <= 0: z = e^eta lies in (0, 1], where the weighted sum converges
     z = np.exp(eta)
-    return z * polyval(z, _SERIES[j])
+    return z * _horner(_SERIES[j], z)
 
 
-def _fd_middle(j: float, eta: np.ndarray) -> np.ndarray:
-    # F_j = integral of 2 u^(2j+1) / (exp(u^2 - eta) + 1) over u >= 0,
-    # cut at u^2 = eta + 50 where the integrand is e^-50 of its peak; 0 < eta < 40
-    edges = np.stack([np.zeros_like(eta), np.sqrt(eta), np.sqrt(eta + 50.0)], axis=-1)
-    width = (np.diff(edges, axis=-1) / _MID_PANELS)[:, _MID_SEGMENT]
-    center = edges[:, _MID_SEGMENT] + _MID_OFFSET * width
-    half = 0.5 * width
-    z = np.square(center[..., None] + half[..., None] * _GL_X)
-    integrand = 2.0 * z ** (j + 0.5) / (np.exp(z - eta[:, None, None]) + 1.0)
-    return _row_sum(_row_sum(integrand * _GL_W) * half)
+def _fd_chebyshev(j: float, eta: np.ndarray) -> np.ndarray:
+    # 0 < eta < 40: Clenshaw's recurrence on each value's piece, with x in [-1, 1]
+    # exact; c_0's rounding error joins the small terms before the last sum
+    piece = eta.astype(np.intp)
+    x = 2.0 * eta - (2 * piece + 1)
+    low, *c = _CHEBYSHEV[j]
+    b1 = b2 = np.zeros_like(eta)
+    for row in c[:0:-1]:
+        b1, b2 = row[piece] + 2.0 * x * b1 - b2, b1
+    return c[0][piece] + (low[piece] + x * b1 - b2)
 
 
-def _fd_degenerate(j: float, eta: np.ndarray) -> np.ndarray:
-    # F_j = eta^(j+1)/(j+1) + integral over w of [(eta+w)^j - (eta-w)^j] / (e^w + 1),
-    # cut at w = _FD_DEGENERATE; both tails beyond it are e^-40 of the leading term
-    e = eta[:, None]
-    reflected = ((e + _DEG_W) ** j - (e - _DEG_W) ** j) * _DEG_KERNEL
-    return eta ** (j + 1.0) / (j + 1.0) + _row_sum(reflected)
+def _fd_sommerfeld(j: float, eta: np.ndarray) -> np.ndarray:
+    # eta >= 40: the leading term stays a division, the rest a polynomial in eta^-2
+    power = eta ** (j + 1.0)
+    u = 1.0 / (eta * eta)
+    return power / (j + 1.0) + power * u * _horner(_SOMMERFELD[j], u)
 
 
 def fermi_dirac(j: float, eta):
     """Complete Fermi-Dirac integral F_j(eta) for j in {-1/2, 1/2, 3/2, 5/2}.
 
     F_j(eta) = integral of z**j / (exp(z - eta) + 1) over z >= 0, with
-    relative error <= 1e-13 for |eta| <= 1e4 (against mpmath at most 1e-15).
+    relative error <= 1e-13 for |eta| <= 1e4 (against mpmath at most 5e-16).
     ``eta`` may be a scalar, which gives a float, or an array, which gives
     an array of the same shape; each element's value does not depend on
     the others, so the two agree bit for bit.
 
     Branches: for eta <= 0 the series in exp(eta), reweighted (CRVZ) into
-    one polynomial of degree 24; for 0 < eta < 40 the substitution z = u**2
-    and 32-node Gauss-Legendre panels graded toward the Fermi edge (4 on
-    [0, sqrt(eta)], 6 up to sqrt(eta + 50)); for eta >= 40 the reflection
-    eta**(j+1)/(j+1) + integral over [0, 40] of
-    [(eta+w)**j - (eta-w)**j] / (exp(w) + 1), on 4 panels.
+    one polynomial of degree 24; for 0 < eta < 40 a Chebyshev series of
+    degree 16 on each piece [k, k + 1], interpolated from mpmath; for
+    eta >= 40 the Sommerfeld series eta**(j+1)/(j+1) + eta**(j+1)
+    sum_(k=1..12) a_k eta**(-2k).
     """
     j = float(j)
     if j not in FD_ORDERS:
@@ -126,11 +144,10 @@ def fermi_dirac(j: float, eta):
     degenerate = flat >= _FD_DEGENERATE
     for branch, mask in (
         (_fd_series, series),
-        (_fd_middle, ~(series | degenerate)),
-        (_fd_degenerate, degenerate),
+        (_fd_chebyshev, ~(series | degenerate)),
+        (_fd_sommerfeld, degenerate),
     ):
         index = np.flatnonzero(mask)
-        for start in range(0, index.size, _FD_BLOCK):
-            block = index[start : start + _FD_BLOCK]
-            out[block] = branch(j, flat[block])
+        if index.size:
+            out[index] = branch(j, flat[index])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -208,6 +208,53 @@ def test_out_naming_stderr_keeps_what_stderr_appended_to(capsys, tmp_path):
     assert err.read_text() == "keep\n" + table
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_out_naming_an_inherited_descriptor_keeps_what_it_appended_to(capsys, tmp_path):
+    # `--out /dev/fd/3 3>> f` appends the table to f; it does not replace f
+    assert main(["eigen", "--n-max", "3"]) == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "f"
+    out.write_bytes(b"keep\n")
+    with out.open("ab") as appended:
+        fd = appended.fileno()
+        result = subprocess.run(
+            [sys.executable, "-m", "ucngas", "eigen", "--n-max", "3", "--out", f"/dev/fd/{fd}"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            pass_fds=(fd,),
+        )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
+    assert out.read_text() == "keep\n" + table
+    # a descriptor open for reading only is not written through: `--out f < f` replaces f
+    with out.open("rb") as stdin:
+        result = subprocess.run(
+            [sys.executable, "-m", "ucngas", "eigen", "--n-max", "3", "--out", str(out)],
+            stdin=stdin,
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+    assert result.returncode == 0, result.stderr
+    assert out.read_text() == table
+
+
+def test_cli_import_loads_no_polynomial_fractions_mpmath_or_scipy():
+    # every F_j coefficient is built or read at import without numpy.polynomial,
+    # fractions or mpmath, each of which would cost every request memory and
+    # time; scipy is loaded only by the routines that evaluate Ai
+    code = (
+        "import sys, ucngas.cli; print(sorted(m for m in sys.modules if m in "
+        "('fractions', 'mpmath', 'scipy') or m.startswith('numpy.polynomial')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_table_size_is_bounded(capsys):
     start = time.perf_counter()
     assert main(["fig2", "--z-steps", "100000000"]) == 1

@@ -119,8 +119,8 @@ def test_fd_series_branch_matches_mpmath_within_5e_16():
         assert worst <= 5e-16, (j, worst)
 
 
-# the reflection branch from its edge at 40 up to 80: the range where its nodes
-# come nearest the branch point w = eta of (eta - w)^j
+# the degenerate branch from its edge at 40 up to 80, where the Sommerfeld series
+# converges slowest
 FD_REFLECTION_GRID = np.linspace(40.0, 80.0, 81).tolist() + [40.0 + 1e-9, 80.0 - 1e-9]
 
 
@@ -136,6 +136,47 @@ def test_fd_reflection_from_40_matches_mpmath_within_3e_16():
                 for eta, got in zip(FD_REFLECTION_GRID, values.tolist())
             )
         assert worst <= 3e-16, (j, worst)
+
+
+# every edge of the 40 Chebyshev pieces on (0, 40) from both sides (k is the left
+# end of piece k, the double below it the right end of piece k - 1), each piece's
+# midpoint and one seeded point; then the Sommerfeld branch from 40 up to 1e4
+FD_PIECE_GRID = (
+    [5e-324, 1e-9]
+    + [x for k in range(1, 40) for x in (np.nextafter(float(k), 0.0), float(k))]
+    + [np.nextafter(40.0, 0.0)]
+    + (np.arange(40) + 0.5).tolist()
+    + (np.arange(40) + np.random.default_rng(29).uniform(0.0, 1.0, 40)).tolist()
+)
+FD_SOMMERFELD_GRID = [40.0, np.nextafter(40.0, 41.0)] + np.geomspace(40.0, 1.0e4, 41)[1:].tolist()
+
+
+def test_fd_pieces_and_sommerfeld_match_mpmath():
+    # the bounds sit just above the worst measured on 4,000 random eta per order:
+    # 2.35e-16 on (0, 40) (j = 5/2) and 2.59e-16 on [40, 1e4] (log-uniform)
+    mp = pytest.importorskip("mpmath")
+    from oracles import fermi_dirac_mp
+
+    for grid, bound in ((FD_PIECE_GRID, 2.5e-16), (FD_SOMMERFELD_GRID, 3e-16)):
+        for j in FD_ORDERS:
+            values = fermi_dirac(j, np.array(grid))
+            with mp.workdps(20):
+                worst = max(
+                    float(abs(got / fermi_dirac_mp(j, mp.mpf(eta), dps=20) - 1))
+                    for eta, got in zip(grid, values.tolist())
+                )
+            assert worst <= bound, (j, worst)
+
+
+def test_fd_table_is_what_its_generator_writes():
+    # tests/record_fd_table.py gives the last piece of every order bit for bit
+    pytest.importorskip("mpmath")
+    from record_fd_table import DEGREE, PIECES, piece
+    from ucngas.specfun import _CHEBYSHEV
+
+    for j in FD_ORDERS:
+        assert _CHEBYSHEV[j].shape == (DEGREE + 2, PIECES)
+        assert _CHEBYSHEV[j][:, PIECES - 1].tolist() == piece(j, PIECES - 1), j
 
 
 def test_fd_series_coefficients_match_mpmath():
