@@ -10,7 +10,8 @@ no others.
 This is the one module that evaluates Ai, which comes from the AMOS
 routines exposed through scipy.special. scipy is imported inside the
 functions that need it, so importing the package loads none of it. The
-zeros need no Ai (a table, then a series), so the levels load no scipy.
+zeros are recorded from mpmath (tests/record_tables.py), so the levels
+evaluate no Ai and load no scipy.
 """
 
 from __future__ import annotations
@@ -18,24 +19,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
+from . import _tables
 from .constants import NEUTRON, PhysicalConstants
 from .errors import DomainError
 
 ZERO_INDEX_MAX = 1000
-# a_1 .. a_10 (DLMF Table 9.9.1), each the double nearest the zero; below
-# n = 11 the series in airy_zero has not converged to double precision
-_FIRST_ZEROS = (
-    -2.338107410459767, -4.08794944413097, -5.520559828095551, -6.786708090071759,
-    -7.944133587120853, -9.02265085334098, -10.040174341558085, -11.008524303733262,
-    -11.936015563236262, -12.828776752865757,
-)
-# a_n = -t**(2/3) * (1 + sum_k c_k t**(-2k)), t = 3 pi (4n - 1) / 8 (DLMF 9.9.18)
-_ZERO_SERIES = (5 / 48, -5 / 36, 77125 / 82944, -108056875 / 6967296, 162375596875 / 334430208)
-_PI_34 = Decimal("3.141592653589793238462643383279503")
 # Ai underflows double precision long before this; treat the tail as zero
 _AIRY_TAIL_CUT = 40.0
 
@@ -66,21 +57,10 @@ def airy_zero_asymptotic(n: int) -> float:
 def airy_zero(n: int) -> float:
     """n-th negative zero of Ai for 1 <= n <= 1000, the double nearest it.
 
-    Tabulated up to n = 10; beyond, the large-index series through t**-10,
-    whose truncation error is below 1e-16 relative there.
+    Read from the zeros that tests/record_tables.py records from mpmath.
     """
-    seed = airy_zero_asymptotic(n)  # -t**(2/3); checks the index
-    n = operator.index(n)  # a numpy integer would not mix with Decimal
-    if n <= len(_FIRST_ZEROS):
-        return _FIRST_ZEROS[n - 1]
-    u = (-seed) ** -3  # t**-2
-    correction = sum(c * u**k for k, c in enumerate(_ZERO_SERIES, 1))
-    # one Newton step on y**3 = t**2 in 34 digits clears the seed's rounding
-    with localcontext(Context(prec=34)):
-        t = 3 * _PI_34 * (4 * n - 1) / 8
-        y = Decimal(-seed)
-        y -= (y * y * y - t * t) / (3 * y * y)
-        return float(-y * (1 + Decimal(correction)))
+    airy_zero_asymptotic(n)  # checks the index
+    return float(_tables.AIRY_ZEROS[n - 1])
 
 
 def eigen_energy_exact(n_z: int, constants: PhysicalConstants = NEUTRON) -> float:

@@ -5,23 +5,19 @@ in three branches, each in closed form: for eta <= 0 the alternating
 series in e^eta with the fixed weights of Cohen, Rodriguez Villegas and
 Zagier (2000, Experimental Math. 9, 3, Algorithm 1); on 0 < eta < 40
 piecewise Chebyshev series in eta (the piecewise route of Fukushima 2015,
-Appl. Math. Comput. 259, 708), 40 pieces of degree 16 whose coefficients
-_fd_table holds as one hex string (tests/record_fd_table.py writes it from
-mpmath); and from 40 up the Sommerfeld series in eta^-2, whose
-coefficients are built at import. Against mpmath the worst relative error
-is about 4e-16 for eta <= 0, 2.4e-16 on (0, 40) and 2.6e-16 from 40 up
-to 1e4, for every order.
+Appl. Math. Comput. 259, 708), 40 pieces of degree 16; and from 40 up the
+Sommerfeld series in eta^-2. Every coefficient is recorded once from
+mpmath, by tests/record_tables.py, into _tables, so import derives
+none. Against mpmath the worst relative error is about 4e-16 for
+eta <= 0, 2.4e-16 on (0, 40) and 2.6e-16 from 40 up to 1e4, for every
+order.
 """
 
 from __future__ import annotations
 
-import math
-from decimal import Context, Decimal, localcontext
-
 import numpy as np
 
-from . import _fd_table
-from .eigen import _PI_34
+from . import _tables
 from .errors import DomainError
 
 # complete Fermi-Dirac integrals are provided for these orders only
@@ -29,56 +25,22 @@ FD_ORDERS = (-0.5, 0.5, 1.5, 2.5)
 FD_ETA_MAX = 1.0e4
 # the Sommerfeld series serves eta >= 40; there its 12 terms are within 1e-17 of F_j
 _FD_DEGENERATE = 40.0
+
+
+def _per_order(values: np.ndarray, *shape: int) -> dict[float, np.ndarray]:
+    # a recorded table holds one block per order
+    return dict(zip(FD_ORDERS, values.reshape(len(FD_ORDERS), *shape)))
+
+
 # (order, row, piece): piece k of the 40 is the Chebyshev series of F_j in 2 eta - (2k + 1)
 # on [k, k + 1]; row 0 is the rounding error of its c_0, rows 1.. are c_0 (halved), c_1, ...
-_CHEBYSHEV = dict(zip(
-    FD_ORDERS,
-    np.frombuffer(bytes.fromhex(_fd_table.CHEBYSHEV), "<f8")
-    .reshape(len(FD_ORDERS), -1, int(_FD_DEGENERATE)),
-))
-
-
-def _series_coefficients(n: int) -> dict[float, np.ndarray]:
-    # F_j = z sum_k a_k z^k, z = e^eta, a_k = Gamma(j+1) (c_k/d) / (k+1)^(j+1), with CRVZ's
-    # weights from the integer coefficients t_i of T_n(1 - 2x) = sum t_i x^i: d = T_n(3) =
-    # sum |t_i| and c_k = (-1)^k sum_(i>k) |t_i|; Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
-    t = [n * math.comb(n + i, 2 * i) * 4**i // (n + i) for i in range(n + 1)]  # the |t_i|, exact
-    with localcontext(Context(prec=34)):
-        return {
-            j: np.array([
-                float(math.factorial(2 * m) * _PI_34.sqrt() * (-1) ** k * sum(t[k + 1 :])
-                      / (4**m * math.factorial(m) * sum(t) * (k + 1) ** m * Decimal(k + 1).sqrt()))
-                for k in range(n)
-            ])
-            for m, j in enumerate(FD_ORDERS)
-        }
-
-
-def _sommerfeld_coefficients(n: int) -> dict[float, np.ndarray]:
-    # F_j = eta^(j+1)/(j+1) + eta^(j+1) sum_(k=1..n) a_k eta^-2k, a_k = Gamma(j+1)/Gamma(j+2-2k)
-    # 2 (1 - 2^(1-2k)) zeta(2k). With j = m - 1/2 the Gamma ratio is prod_(i<2k-1) (2m-1-2i) /
-    # 2^(2k-1), and zeta(2k) = |B_2k| (2 pi)^2k / (2 (2k)!) with |B_2k| = 2k T_k / (4^k (4^k-1)),
-    # T_k the tangent numbers 1, 2, 16, 272, ..., made by Brent and Harvey's integer recurrence
-    tangent = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        tangent[k] = (k - 1) * tangent[k - 1]
-    for k in range(2, n + 1):
-        for i in range(k, n + 1):
-            tangent[i] = (i - k) * tangent[i - 1] + (i - k + 2) * tangent[i]
-    with localcontext(Context(prec=34)):
-        return {
-            j: np.array([
-                float(math.prod(2 * m - 1 - 2 * i for i in range(2 * k - 1))
-                      * (4**k - 2) * 2 * k * tangent[k] * _PI_34 ** (2 * k)
-                      / (2 ** (2 * k - 1) * 4**k * (4**k - 1) * math.factorial(2 * k)))
-                for k in range(1, n + 1)
-            ])
-            for m, j in enumerate(FD_ORDERS)
-        }
-
-
-_SERIES = _series_coefficients(24)  # error bound 2 (3 + sqrt 8)^-24 = 8e-19 of F_j
-_SOMMERFELD = _sommerfeld_coefficients(12)
+_CHEBYSHEV = _per_order(_tables.CHEBYSHEV, -1, int(_FD_DEGENERATE))
+# F_j = z sum_k a_k z^k on eta <= 0, z = e^eta: CRVZ's 24 weights, error bound
+# 2 (3 + sqrt 8)^-24 = 8e-19 of F_j
+_SERIES = _per_order(_tables.SERIES, -1)
+# F_j = eta^(j+1)/(j+1) + eta^(j+1) sum_k a_k eta^-2k on eta >= 40, k = 1..12, with
+# a_k = Gamma(j+1)/Gamma(j+2-2k) 2 (1 - 2^(1-2k)) zeta(2k)
+_SOMMERFELD = _per_order(_tables.SOMMERFELD, -1)
 
 
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -240,19 +240,41 @@ def test_out_naming_an_inherited_descriptor_keeps_what_it_appended_to(capsys, tm
     assert out.read_text() == table
 
 
-def test_cli_import_loads_no_polynomial_fractions_mpmath_or_scipy():
-    # every F_j coefficient is built or read at import without numpy.polynomial,
-    # fractions or mpmath, each of which would cost every request memory and
-    # time; scipy is loaded only by the routines that evaluate Ai
-    code = (
-        "import sys, ucngas.cli; print(sorted(m for m in sys.modules if m in "
-        "('fractions', 'mpmath', 'scipy') or m.startswith('numpy.polynomial')))"
+def test_requests_load_no_decimal_polynomial_fractions_mpmath_or_scipy():
+    # every F_j coefficient and Airy zero is read at import from ucngas._tables, so no
+    # request builds one in decimal or fractions or evaluates one in mpmath, each of
+    # which would cost every request memory and time; scipy is loaded only by the
+    # routines that evaluate Ai. The eigen request is the path that once took a
+    # 34-digit decimal Newton step per zero
+    loaded = (
+        "sorted(m for m in sys.modules if m in ('_decimal', 'decimal', 'fractions', 'mpmath',"
+        " 'scipy') or m.startswith('numpy.polynomial'))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    imported = subprocess.run(
+        [sys.executable, "-c", f"import sys, ucngas.cli; print({loaded})"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert imported.returncode == 0, imported.stderr
+    assert imported.stdout == "[]\n"
+    served = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from ucngas.cli import main; code = main(); "
+            f"print({loaded}, file=sys.stderr); sys.exit(code)",
+            "eigen",
+            "--n-max",
+            "1000",
+        ],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert served.returncode == 0, served.stderr
+    assert served.stderr == "[]\n"
+    assert len(served.stdout.splitlines()) == 1 + 1000
 
 
 def test_table_size_is_bounded(capsys):

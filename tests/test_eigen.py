@@ -99,6 +99,19 @@ def test_zeros_match_mpmath():
             assert airy_zero(n) == float(mp.airyaizero(n))
 
 
+def test_zeros_are_what_their_generator_writes():
+    # tests/record_tables.py gives the recorded zeros bit for bit; all 1,000 take ~17 s
+    # in mpmath, so this reruns the first eleven, three far ones and a seeded sample
+    pytest.importorskip("mpmath")
+    from record_tables import ZEROS, airy_zero as recorded_zero
+    from ucngas._tables import AIRY_ZEROS
+
+    assert ZEROS == ZERO_INDEX_MAX and AIRY_ZEROS.shape == (ZEROS,)
+    sample = np.random.default_rng(30).integers(12, ZEROS, size=20, endpoint=True)
+    for n in (*range(1, 12), 100, 500, 1000, *sample.tolist()):
+        assert airy_zero(n) == recorded_zero(n), n
+
+
 def test_every_zero_is_the_nth_zero_of_amos_ai():
     # seed +- 0.35 of the local zero spacing pi/sqrt(|a|), capped at 0.1: a
     # window narrower than the spacing, so a sign change of Ai across it is

@@ -169,9 +169,9 @@ def test_fd_pieces_and_sommerfeld_match_mpmath():
 
 
 def test_fd_table_is_what_its_generator_writes():
-    # tests/record_fd_table.py gives the last piece of every order bit for bit
+    # tests/record_tables.py gives the last piece of every order bit for bit
     pytest.importorskip("mpmath")
-    from record_fd_table import DEGREE, PIECES, piece
+    from record_tables import DEGREE, PIECES, piece
     from ucngas.specfun import _CHEBYSHEV
 
     for j in FD_ORDERS:
@@ -181,7 +181,7 @@ def test_fd_table_is_what_its_generator_writes():
 
 def test_fd_series_coefficients_match_mpmath():
     # CRVZ Algorithm 1 as published, with d = T_n(3) from T_(n+1) = 6 T_n - T_(n-1),
-    # against the library's coefficients built in 34-digit decimal
+    # against the coefficients tests/record_tables.py records from mpmath
     mp = pytest.importorskip("mpmath")
     from ucngas.specfun import _SERIES
 
@@ -202,6 +202,34 @@ def test_fd_series_coefficients_match_mpmath():
                 for k, c in enumerate(weights)
             ]
             assert _SERIES[j].tolist() == expected, j
+
+
+def test_fd_sommerfeld_coefficients_match_mpmath():
+    # a_k = Gamma(j+1)/Gamma(j+2-2k) 2 (1 - 2^(1-2k)) zeta(2k) at 40 digits, rounded once
+    mp = pytest.importorskip("mpmath")
+    from ucngas.specfun import _SOMMERFELD
+
+    with mp.workdps(40):
+        for j in FD_ORDERS:
+            expected = [
+                float(mp.gamma(j + 1) / mp.gamma(j + 2 - 2 * k) * 2 * (1 - mp.mpf(2) ** (1 - 2 * k))
+                      * mp.zeta(2 * k))
+                for k in range(1, 13)
+            ]
+            assert _SOMMERFELD[j].tolist() == expected, j
+
+
+def test_fd_coefficients_are_what_their_generator_writes():
+    # tests/record_tables.py gives every recorded series and Sommerfeld row bit for bit
+    pytest.importorskip("mpmath")
+    from record_tables import SERIES_TERMS, SOMMERFELD_TERMS, series, sommerfeld
+    from ucngas.specfun import _SERIES, _SOMMERFELD
+
+    for j in FD_ORDERS:
+        assert _SERIES[j].shape == (SERIES_TERMS,)
+        assert _SERIES[j].tolist() == series(j), j
+        assert _SOMMERFELD[j].shape == (SOMMERFELD_TERMS,)
+        assert _SOMMERFELD[j].tolist() == sommerfeld(j), j
 
 
 def test_fd_matches_quadrature_oracle():
