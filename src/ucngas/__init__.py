@@ -1,8 +1,8 @@
 """Ideal Fermi gas of ultra-cold neutrons above a hard floor in gravity.
 
 Single-particle eigenstates are Airy functions; the library exposes
-exact and asymptotic level energies, Fermi-Dirac integrals good to
-1e-13 relative accuracy, finite-temperature thermodynamics of the
+exact and asymptotic level energies, Fermi-Dirac integrals within
+5e-16 relative of mpmath, finite-temperature thermodynamics of the
 gravity-confined column, density profiles, and a CLI that renders
 figure data as CSV/JSON tables.
 """

@@ -79,8 +79,10 @@ def _fd_sommerfeld(j: float, eta: np.ndarray) -> np.ndarray:
 def fermi_dirac(j: float, eta):
     """Complete Fermi-Dirac integral F_j(eta) for j in {-1/2, 1/2, 3/2, 5/2}.
 
-    F_j(eta) = integral of z**j / (exp(z - eta) + 1) over z >= 0, with
-    relative error <= 1e-13 for |eta| <= 1e4 (against mpmath at most 5e-16).
+    F_j(eta) = integral of z**j / (exp(z - eta) + 1) over z >= 0, for
+    |eta| <= 1e4, with relative error against mpmath at most 5e-16 for
+    eta <= 0, 2.5e-16 on (0, 40) and 3e-16 from 40 up (a subnormal result
+    within four steps of 2**-1074).
     ``eta`` may be a scalar, which gives a float, or an array, which gives
     an array of the same shape; each element's value does not depend on
     the others, so the two agree bit for bit.

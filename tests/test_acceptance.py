@@ -470,4 +470,12 @@ def test_golden_tables(name, args, tmp_path):
     produced = out.read_bytes()
     expected = (GOLDEN_DIR / name).read_bytes()
     ok = produced == expected
-    _verdict(f"golden {name}", ok, f"{len(produced)} bytes, byte-identical to stored table")
+    if ok:
+        detail = f"{len(produced)} bytes, byte-identical to stored table"
+    else:
+        first = next(
+            (i for i, (a, b) in enumerate(zip(produced, expected)) if a != b),
+            min(len(produced), len(expected)),
+        )
+        detail = f"{len(produced)} bytes against {len(expected)} stored, first differs at byte {first}"
+    _verdict(f"golden {name}", ok, detail)

@@ -426,8 +426,8 @@ def test_fig1_parametric_reaches_the_window_edges(tmp_path, window):
     assert t[-1] == float(window[3])
 
 
-def test_fig1_survives_quadpack_roundoff_warning(tmp_path):
-    # QUADPACK flags roundoff at this t although its error estimate is ~1e-13
+def test_fig1_runs_from_an_irregular_t_min(tmp_path):
+    # a window kept from an earlier regression: fig1 exits 0 there
     args = ["fig1", "--t-min", "0.646427768866643", "--t-max", "2", "--t-steps", "2"]
     code, _ = run_cli(args, tmp_path)
     assert code == 0

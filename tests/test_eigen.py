@@ -92,7 +92,7 @@ def test_zero_index_validation():
 
 
 def test_zeros_match_mpmath():
-    # every tabulated zero, the first from the series, and across the range
+    # the first eleven recorded zeros and three across the range
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         for n in (*range(1, 12), 100, 500, 1000):

@@ -66,8 +66,8 @@ def test_density_ratio_is_nonnegative_and_nonincreasing_in_height(t, u):
 # the column quadrature ~0.1-0.2 s, so these two draw fewer examples
 @settings(DETERMINISTIC, max_examples=12)
 @given(j=st.sampled_from((0.5, 1.5, 2.5)), eta=st.floats(-60.0, 200.0))
-@example(j=0.5, eta=-45.0)  # the draws reach the middle and degenerate
-@example(j=1.5, eta=-45.0)  # branches; these pin the Maxwell one
+@example(j=0.5, eta=-45.0)  # the draws need not reach the deep tail of
+@example(j=1.5, eta=-45.0)  # the eta <= 0 series; these pin it there
 @example(j=2.5, eta=-45.0)
 def test_fermi_dirac_derivative_is_j_times_next_lower_order(j, eta):
     mp = pytest.importorskip("mpmath")

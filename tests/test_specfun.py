@@ -55,117 +55,66 @@ def test_fd_maxwell_regime():
         assert fermi_dirac(j, -20.0) == pytest.approx(series, rel=1e-12)
 
 
-def test_fd_tolerates_quadpack_roundoff_warnings():
-    # QUADPACK reports roundoff at these points, yet its estimate is ~1e-13
-    mp = pytest.importorskip("mpmath")
-    from oracles import fermi_dirac_mp, fermi_dirac_quad
-
-    points = ((2.5, -0.00999999999999801), (2.5, 1.0015873279616967), (0.5, 0.3317105580707387))
-    for j, eta in points:
-        expected = float(fermi_dirac_mp(j, mp.mpf(eta)))
-        assert fermi_dirac(j, eta) == pytest.approx(expected, rel=1e-10)
-        assert fermi_dirac_quad(j, eta) == pytest.approx(expected, rel=1e-10)
-
-
-# the branch edges 0 and 40, each approached from both sides, the same offsets
-# around -35, 50 and 80 inside the branches, and the ends of the domain
-FD_EDGE_GRID = [
-    edge + offset
-    for edge in (-35.0, 0.0, 40.0, 50.0, 80.0)
-    for offset in (-0.5, -1e-9, 0.0, 1e-9, 0.5)
-] + [-1.0e4, -40.0, 1.0e3, 1.0e4 - 1.0, 1.0e4]
-
-
-def test_fd_matches_mpmath_across_branch_edges():
-    mp = pytest.importorskip("mpmath")
-    from oracles import fermi_dirac_mp
-
-    for j in FD_ORDERS:
-        for eta in FD_EDGE_GRID:
-            expected = fermi_dirac_mp(j, mp.mpf(eta), dps=25)
-            got = fermi_dirac(j, eta)
-            if expected < 1e-300:  # F_j(-1e4) underflows to 0.0
-                assert got == 0.0
-                continue
-            assert abs(got / expected - 1) <= 1e-13, (j, eta)
-
-
-# the series branch's eta <= 0: a grid on [-40, 0], the approach to eta = 0,
-# -35 from both sides, the deep tail down to subnormal results, and -0.0
-FD_SERIES_GRID = (
-    np.linspace(-40.0, 0.0, 441).tolist()
-    + (-np.geomspace(1.0, 1e-8, 40)).tolist()
-    + [-35.0 - 1e-9, -35.0 + 1e-9, -60.0, -100.0, -200.0, -300.0, -500.0, -745.0, -1.0e4]
-    + [0.0, -0.0]
+# three eta kept from earlier regression tests
+FD_REGRESSION_POINTS = [-0.00999999999999801, 0.3317105580707387, 1.0015873279616967]
+# every eta the mpmath sweep checks, sorted, then -0.0
+FD_SWEEP = np.append(
+    np.unique(
+        np.concatenate(
+            [
+                # eta <= 0: a grid on [-40, 0], the approach to 0, and the deep tail down to
+                # subnormal results and -1e4, where F_j underflows to 0.0
+                np.linspace(-40.0, 0.0, 441),
+                -np.geomspace(1.0, 1e-8, 40),
+                [-1.0e4, -745.0, -500.0, -300.0, -200.0, -100.0, -60.0],
+                # 0 < eta < 40: every edge of the 40 Chebyshev pieces from both sides (k is
+                # the left end of piece k, the double below it the right end of piece k - 1),
+                # each piece's midpoint and one seeded point
+                [5e-324, 1e-9],
+                [x for k in range(1, 41) for x in (np.nextafter(float(k), 0.0), float(k))],
+                np.arange(40) + 0.5,
+                np.arange(40) + np.random.default_rng(29).uniform(0.0, 1.0, 40),
+                # eta >= 40: step 0.5 up to 80, where the Sommerfeld series converges
+                # slowest, then geometric up to the end of the domain
+                [np.nextafter(40.0, 41.0), 1.0e3, 1.0e4 - 1.0],
+                np.linspace(40.0, 80.0, 81),
+                np.geomspace(40.0, 1.0e4, 41),
+                # offsets around the branch edges 0 and 40 and around -35, 50 and 80
+                [e + d for e in (-35, 0, 40, 50, 80) for d in (-0.5, -1e-9, 0.0, 1e-9, 0.5)],
+                FD_REGRESSION_POINTS,
+            ]
+        )
+    ),
+    -0.0,
 )
+# each bound sits just above the worst error measured on its branch: 4.07e-16 here for
+# eta <= 0 (j = -1/2), and on 4,000 random eta per order 2.35e-16 on (0, 40) (j = 5/2)
+# and 2.59e-16 on [40, 1e4] (log-uniform)
+FD_BOUNDS = {"eta <= 0": 5e-16, "0 < eta < 40": 2.5e-16, "eta >= 40": 3e-16}
 
 
-def test_fd_series_branch_matches_mpmath_within_5e_16():
+@pytest.mark.parametrize("j", FD_ORDERS)
+def test_fd_matches_mpmath_on_every_branch(j):
+    # each eta against mpmath at 20 digits, held to the bound of the branch that computes it
     mp = pytest.importorskip("mpmath")
     from oracles import fermi_dirac_mp
 
     tiny = np.finfo(float).tiny
-    for j in FD_ORDERS:
-        values = fermi_dirac(j, np.array(FD_SERIES_GRID))
-        worst = 0.0
-        for eta, got in zip(FD_SERIES_GRID, values.tolist()):
-            with mp.workdps(20):
-                expected = fermi_dirac_mp(j, mp.mpf(eta), dps=20)
-                if expected < tiny:  # subnormal: exp(eta) itself is rounded to a step
-                    # of 2^-1074, which Gamma(j+1) <= 3.4 scales; allow four steps
-                    assert abs(got - expected) <= 2.0**-1072, (j, eta, got)
-                    continue
-                worst = max(worst, float(abs(got / expected - 1)))
-        assert worst <= 5e-16, (j, worst)
-
-
-# the degenerate branch from its edge at 40 up to 80, where the Sommerfeld series
-# converges slowest
-FD_REFLECTION_GRID = np.linspace(40.0, 80.0, 81).tolist() + [40.0 + 1e-9, 80.0 - 1e-9]
-
-
-def test_fd_reflection_from_40_matches_mpmath_within_3e_16():
-    mp = pytest.importorskip("mpmath")
-    from oracles import fermi_dirac_mp
-
-    for j in FD_ORDERS:
-        values = fermi_dirac(j, np.array(FD_REFLECTION_GRID))
-        with mp.workdps(20):
-            worst = max(
-                float(abs(got / fermi_dirac_mp(j, mp.mpf(eta), dps=20) - 1))
-                for eta, got in zip(FD_REFLECTION_GRID, values.tolist())
-            )
-        assert worst <= 3e-16, (j, worst)
-
-
-# every edge of the 40 Chebyshev pieces on (0, 40) from both sides (k is the left
-# end of piece k, the double below it the right end of piece k - 1), each piece's
-# midpoint and one seeded point; then the Sommerfeld branch from 40 up to 1e4
-FD_PIECE_GRID = (
-    [5e-324, 1e-9]
-    + [x for k in range(1, 40) for x in (np.nextafter(float(k), 0.0), float(k))]
-    + [np.nextafter(40.0, 0.0)]
-    + (np.arange(40) + 0.5).tolist()
-    + (np.arange(40) + np.random.default_rng(29).uniform(0.0, 1.0, 40)).tolist()
-)
-FD_SOMMERFELD_GRID = [40.0, np.nextafter(40.0, 41.0)] + np.geomspace(40.0, 1.0e4, 41)[1:].tolist()
-
-
-def test_fd_pieces_and_sommerfeld_match_mpmath():
-    # the bounds sit just above the worst measured on 4,000 random eta per order:
-    # 2.35e-16 on (0, 40) (j = 5/2) and 2.59e-16 on [40, 1e4] (log-uniform)
-    mp = pytest.importorskip("mpmath")
-    from oracles import fermi_dirac_mp
-
-    for grid, bound in ((FD_PIECE_GRID, 2.5e-16), (FD_SOMMERFELD_GRID, 3e-16)):
-        for j in FD_ORDERS:
-            values = fermi_dirac(j, np.array(grid))
-            with mp.workdps(20):
-                worst = max(
-                    float(abs(got / fermi_dirac_mp(j, mp.mpf(eta), dps=20) - 1))
-                    for eta, got in zip(grid, values.tolist())
-                )
-            assert worst <= bound, (j, worst)
+    worst = dict.fromkeys(FD_BOUNDS, 0.0)
+    with mp.workdps(20):
+        for eta, got in zip(FD_SWEEP.tolist(), fermi_dirac(j, FD_SWEEP).tolist()):
+            expected = fermi_dirac_mp(j, mp.mpf(eta), dps=20)
+            if expected < tiny:  # subnormal: exp(eta) itself is rounded to a step
+                # of 2^-1074, which Gamma(j+1) <= 3.4 scales; allow four steps
+                assert abs(got - expected) <= 2.0**-1072, (j, eta, got)
+                continue
+            branch = "eta <= 0" if eta <= 0 else "0 < eta < 40" if eta < 40 else "eta >= 40"
+            worst[branch] = max(worst[branch], float(abs(got / expected - 1)))
+    ok = all(worst[b] <= bound for b, bound in FD_BOUNDS.items())
+    detail = ", ".join(f"{worst[b]:.2e} for {b} (bound {FD_BOUNDS[b]:g})" for b in FD_BOUNDS)
+    print(f"[F_{j} vs mpmath] {'PASS' if ok else 'FAIL'}: {FD_SWEEP.size} eta, worst {detail}")
+    assert ok, (j, worst)
+    assert fermi_dirac(j, -1.0e4) == 0.0
 
 
 def test_fd_table_is_what_its_generator_writes():
@@ -236,17 +185,17 @@ def test_fd_matches_quadrature_oracle():
     from oracles import fermi_dirac_quad
 
     for j in (0.5, 1.5, 2.5):
-        for eta in (-34.0, -5.0, 0.0, 1.0, 30.0, 79.0, 80.0, 1.0e3):
+        for eta in (-34.0, -5.0, 0.0, 1.0, 30.0, 79.0, 80.0, 1.0e3, *FD_REGRESSION_POINTS):
             assert fermi_dirac(j, eta) == pytest.approx(fermi_dirac_quad(j, eta), rel=1e-11)
 
 
 def test_fd_array_matches_scalar_bit_for_bit():
-    grid = np.array(FD_EDGE_GRID + list(np.linspace(-60.0, 120.0, 301)))
+    grid = np.concatenate([FD_SWEEP, np.linspace(-60.0, 120.0, 301)])
     for j in FD_ORDERS:
         values = fermi_dirac(j, grid)
         assert values.shape == grid.shape
         assert all(fermi_dirac(j, float(eta)) == v for eta, v in zip(grid, values))
-        # blocks, shapes and neighbours do not move a value
+        # shapes and neighbours do not move a value
         shaped = fermi_dirac(j, grid[:300].reshape(3, 4, 25))
         assert shaped.shape == (3, 4, 25)
         assert np.array_equal(shaped.ravel(), values[:300])
@@ -293,7 +242,7 @@ def test_fd_validation():
 # ---- degenerate expansion ----
 
 
-def test_sommerfeld_tracks_quadrature():
+def test_fd_tracks_the_two_term_sommerfeld_law():
     assert fermi_dirac(1.5, 50.0) == pytest.approx(sommerfeld(1.5, 50.0), rel=1e-5)
     assert fermi_dirac(1.5, 100.0) == pytest.approx(sommerfeld(1.5, 100.0), rel=1e-6)
     for j in FD_ORDERS:
