@@ -34,8 +34,8 @@ each into a numpy array at import:
 
 SERIES, SOMMERFELD and AIRY_ZEROS are computed at EXACT_DPS digits.
 Rerunning the script on an unchanged tree leaves the module byte for byte
-as it was. test_specfun and test_eigen rerun these functions on samples
-of each table and assert the same bits.
+as it was. tests/test_tables.py reruns these functions on samples of
+each table and asserts the same bits.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -240,41 +241,57 @@ def test_out_naming_an_inherited_descriptor_keeps_what_it_appended_to(capsys, tm
     assert out.read_text() == table
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_out_naming_a_fifo_writes_into_it(capsys, tmp_path):
+    # a path that exists but is no regular file (a FIFO, /dev/null, a terminal) is
+    # written in place: it is not replaced by a regular file
+    assert main(["eigen", "--n-max", "3"]) == 0
+    table = capsys.readouterr().out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+    try:
+        assert main(["eigen", "--n-max", "3", "--out", str(fifo)]) == 0
+        assert os.read(reader, 1 << 16).decode() == table
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
 def test_requests_load_no_decimal_polynomial_fractions_mpmath_or_scipy():
     # every F_j coefficient and Airy zero is read at import from ucngas._tables, so no
     # request builds one in decimal or fractions or evaluates one in mpmath, each of
-    # which would cost every request memory and time; scipy is loaded only by the
-    # routines that evaluate Ai. The eigen request is the path that once took a
-    # 34-digit decimal Newton step per zero
-    loaded = (
-        "sorted(m for m in sys.modules if m in ('_decimal', 'decimal', 'fractions', 'mpmath',"
-        " 'scipy') or m.startswith('numpy.polynomial'))"
+    # which would cost every request memory and time; scipy is only for Ai itself
+    # (eigen states and wavefunctions), so importing the CLI and serving every
+    # subcommand loads no scipy module. The eigen request is the path that once took
+    # a 34-digit decimal Newton step per zero
+    code = """
+import io, sys
+from contextlib import redirect_stdout
+from ucngas.cli import main
+loaded = lambda: sorted(
+    m for m in sys.modules
+    if m in ("_decimal", "decimal", "fractions", "mpmath")
+    or m.partition(".")[0] == "scipy" or m.startswith("numpy.polynomial")
+)
+print(loaded())
+codes = []
+for args in (
+    ["report", "--efermi-k", "1e-3"],
+    ["fig1", "--t-steps", "3"],
+    ["fig2", "--t-steps", "2", "--z-steps", "2"],
+    ["fig3", "--t-steps", "2"],
+    ["eigen", "--n-max", "1000"],
+):
+    with redirect_stdout(io.StringIO()) as out:
+        codes.append(main(args))
+print(codes, len(out.getvalue().splitlines()), loaded())
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
     )
-    imported = subprocess.run(
-        [sys.executable, "-c", f"import sys, ucngas.cli; print({loaded})"],
-        capture_output=True,
-        text=True,
-        env=CHILD_ENV,
-    )
-    assert imported.returncode == 0, imported.stderr
-    assert imported.stdout == "[]\n"
-    served = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys; from ucngas.cli import main; code = main(); "
-            f"print({loaded}, file=sys.stderr); sys.exit(code)",
-            "eigen",
-            "--n-max",
-            "1000",
-        ],
-        capture_output=True,
-        text=True,
-        env=CHILD_ENV,
-    )
-    assert served.returncode == 0, served.stderr
-    assert served.stderr == "[]\n"
-    assert len(served.stdout.splitlines()) == 1 + 1000
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] 1001 []"]
 
 
 def test_table_size_is_bounded(capsys):
@@ -294,32 +311,6 @@ def test_exit_code_numerical_failure_names_value(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "t=0.123, s=1.5" in err
-
-
-def test_cli_leaves_out_scipy():
-    # scipy is only for Ai itself (eigen states and wavefunctions); importing
-    # the CLI and running every subcommand must not load any scipy module
-    code = """
-import io, sys
-from contextlib import redirect_stdout
-from ucngas.cli import main
-loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(loaded())
-with redirect_stdout(io.StringIO()):
-    codes = [
-        main(["report", "--efermi-k", "1e-3"]),
-        main(["fig1", "--t-steps", "3"]),
-        main(["fig2", "--t-steps", "2", "--z-steps", "2"]),
-        main(["fig3", "--t-steps", "2"]),
-        main(["eigen", "--n-max", "1000"]),
-    ]
-print(codes, loaded())
-"""
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] []"]
 
 
 def test_exit_code_bad_config_key(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Airy zeros and bouncer eigenstates: energies, wavefunctions, oracle checks.
 
 The reference zeros A1 and A2 were produced independently by 30-digit
-root refinement; scipy's Ai checks every zero, and mpmath's airyaizero
-checks them across the range.
+root refinement; scipy's Ai checks every zero. tests/test_tables.py checks
+that the recorded zeros are what tests/record_tables.py writes from
+mpmath's airyaizero.
 """
 
 import math
@@ -41,30 +42,6 @@ def _tail_end(state):
 # ---- Airy zeros ----
 
 
-def test_airy_vanishes_at_first_zero():
-    assert abs(float(special.airy(A1)[0])) <= 1e-13
-
-
-def test_zero_values():
-    assert airy_zero(1) == pytest.approx(A1, abs=1e-12)
-    assert airy_zero(2) == pytest.approx(A2, abs=1e-12)
-    assert type(airy_zero(1)) is float
-
-
-def test_zeros_annihilate_ai():
-    for n in (1, 2, 5, 10, 100, 279):
-        a_n = airy_zero(n)
-        assert abs(float(special.airy(a_n)[0])) <= 1e-12
-    for n in (500, 1000):
-        a_n = airy_zero(n)
-        assert abs(float(special.airy(a_n)[0])) <= 1e-11
-
-
-def test_zeros_strictly_decreasing():
-    values = [airy_zero(n) for n in range(1, 51)]
-    assert all(b < a for a, b in zip(values, values[1:]))
-
-
 def test_asymptotic_seed_values():
     assert airy_zero_asymptotic(1) == pytest.approx(-2.320251, abs=1e-6)
     assert airy_zero_asymptotic(2) == pytest.approx(-4.0818100, abs=1e-6)
@@ -83,49 +60,25 @@ def test_asymptotic_error_small_and_shrinking():
     assert rels[9] <= 1e-4  # tenth zero matches the seed to 0.01%
 
 
-def test_zero_index_validation():
-    for bad in (0, -3, 1001):
-        with pytest.raises(DomainError):
-            airy_zero(bad)
-    with pytest.raises(DomainError):
-        airy_zero_asymptotic(0)
-
-
-def test_zeros_match_mpmath():
-    # the first eleven recorded zeros and three across the range
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        for n in (*range(1, 12), 100, 500, 1000):
-            assert airy_zero(n) == float(mp.airyaizero(n))
-
-
-def test_zeros_are_what_their_generator_writes():
-    # tests/record_tables.py gives the recorded zeros bit for bit; all 1,000 take ~17 s
-    # in mpmath, so this reruns the first eleven, three far ones and a seeded sample
-    pytest.importorskip("mpmath")
-    from record_tables import ZEROS, airy_zero as recorded_zero
-    from ucngas._tables import AIRY_ZEROS
-
-    assert ZEROS == ZERO_INDEX_MAX and AIRY_ZEROS.shape == (ZEROS,)
-    sample = np.random.default_rng(30).integers(12, ZEROS, size=20, endpoint=True)
-    for n in (*range(1, 12), 100, 500, 1000, *sample.tolist()):
-        assert airy_zero(n) == recorded_zero(n), n
-
-
 def test_every_zero_is_the_nth_zero_of_amos_ai():
     # seed +- 0.35 of the local zero spacing pi/sqrt(|a|), capped at 0.1: a
     # window narrower than the spacing, so a sign change of Ai across it is
     # the n-th zero alone; airy_zero(n) must lie inside, and a Newton step
     # on scipy's Ai must move it by no more than 2 ulp
-    n = range(1, ZERO_INDEX_MAX + 1)
+    n = np.arange(1, ZERO_INDEX_MAX + 1)
     seed = np.array([airy_zero_asymptotic(k) for k in n])
     width = np.minimum(0.1, 0.35 * np.pi / np.sqrt(-seed))
     lo, hi = seed - width, seed + width
     assert np.all(special.airy(lo)[0] * special.airy(hi)[0] < 0.0)
     zeros = np.array([airy_zero(k) for k in n])
     assert np.all((lo < zeros) & (zeros < hi))
+    assert np.all(np.diff(zeros) < 0.0)
     ai, ai_prime = special.airy(zeros)[:2]
     assert np.all(np.abs(ai / ai_prime) <= 2.0 * np.spacing(-zeros))
+    # |Ai(a_n)| is at most 3.5e-14 up to n = 279 and 1.7e-13 beyond
+    assert np.all(np.abs(ai) <= np.where(n <= 279, 1e-12, 1e-11))
+    assert zeros[0] == pytest.approx(A1, abs=1e-12) and zeros[1] == pytest.approx(A2, abs=1e-12)
+    assert type(airy_zero(1)) is float
 
 
 # ---- levels and states ----
@@ -281,14 +234,17 @@ def test_level_sum_oracle_refuses_what_its_levels_do_not_cover():
 
 
 def test_index_validation():
-    for bad in (0, 1001, True, 3.0):
-        with pytest.raises(DomainError):
-            eigen_energy_exact(bad)
-        with pytest.raises(DomainError):
-            eigen_energy_asymptotic(bad)
-        with pytest.raises(DomainError):
-            eigen_state(bad)
-    # any integer type is an index
+    # every level routine takes an integer index in 1..1000, numpy's too, bool not
+    for bad in (0, -3, 1001, True, 3.0):
+        for entry in (
+            airy_zero,
+            airy_zero_asymptotic,
+            eigen_energy_exact,
+            eigen_energy_asymptotic,
+            eigen_state,
+        ):
+            with pytest.raises(DomainError):
+                entry(bad)
     assert airy_zero(np.int64(3)) == airy_zero(3)
     assert airy_zero_asymptotic(np.int64(3)) == airy_zero_asymptotic(3)
     assert eigen_energy_exact(np.int64(3)) == eigen_energy_exact(3)

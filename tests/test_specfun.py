@@ -117,70 +117,6 @@ def test_fd_matches_mpmath_on_every_branch(j):
     assert fermi_dirac(j, -1.0e4) == 0.0
 
 
-def test_fd_table_is_what_its_generator_writes():
-    # tests/record_tables.py gives the last piece of every order bit for bit
-    pytest.importorskip("mpmath")
-    from record_tables import DEGREE, PIECES, piece
-    from ucngas.specfun import _CHEBYSHEV
-
-    for j in FD_ORDERS:
-        assert _CHEBYSHEV[j].shape == (DEGREE + 2, PIECES)
-        assert _CHEBYSHEV[j][:, PIECES - 1].tolist() == piece(j, PIECES - 1), j
-
-
-def test_fd_series_coefficients_match_mpmath():
-    # CRVZ Algorithm 1 as published, with d = T_n(3) from T_(n+1) = 6 T_n - T_(n-1),
-    # against the coefficients tests/record_tables.py records from mpmath
-    mp = pytest.importorskip("mpmath")
-    from ucngas.specfun import _SERIES
-
-    n = 24
-    d_prev, d = 1, 3
-    for _ in range(n - 1):
-        d_prev, d = d, 6 * d - d_prev
-    b, c, weights = -1, -d, []
-    for k in range(n):
-        c = b - c
-        weights.append(c)
-        b, rest = divmod((k + n) * (k - n) * b * 2, (2 * k + 1) * (k + 1))
-        assert rest == 0  # b stays an integer: T_n has integer coefficients
-    with mp.workdps(60):
-        for j in FD_ORDERS:
-            expected = [
-                float(mp.gamma(mp.mpf(j) + 1) * c / d / mp.mpf(k + 1) ** (mp.mpf(j) + 1))
-                for k, c in enumerate(weights)
-            ]
-            assert _SERIES[j].tolist() == expected, j
-
-
-def test_fd_sommerfeld_coefficients_match_mpmath():
-    # a_k = Gamma(j+1)/Gamma(j+2-2k) 2 (1 - 2^(1-2k)) zeta(2k) at 40 digits, rounded once
-    mp = pytest.importorskip("mpmath")
-    from ucngas.specfun import _SOMMERFELD
-
-    with mp.workdps(40):
-        for j in FD_ORDERS:
-            expected = [
-                float(mp.gamma(j + 1) / mp.gamma(j + 2 - 2 * k) * 2 * (1 - mp.mpf(2) ** (1 - 2 * k))
-                      * mp.zeta(2 * k))
-                for k in range(1, 13)
-            ]
-            assert _SOMMERFELD[j].tolist() == expected, j
-
-
-def test_fd_coefficients_are_what_their_generator_writes():
-    # tests/record_tables.py gives every recorded series and Sommerfeld row bit for bit
-    pytest.importorskip("mpmath")
-    from record_tables import SERIES_TERMS, SOMMERFELD_TERMS, series, sommerfeld
-    from ucngas.specfun import _SERIES, _SOMMERFELD
-
-    for j in FD_ORDERS:
-        assert _SERIES[j].shape == (SERIES_TERMS,)
-        assert _SERIES[j].tolist() == series(j), j
-        assert _SOMMERFELD[j].shape == (SOMMERFELD_TERMS,)
-        assert _SOMMERFELD[j].tolist() == sommerfeld(j), j
-
-
 def test_fd_matches_quadrature_oracle():
     from oracles import fermi_dirac_quad
 
