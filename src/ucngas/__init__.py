@@ -26,7 +26,6 @@ from .eigen import (
     eigen_energy_asymptotic,
     eigen_energy_exact,
     eigen_state,
-    wavefunction,
 )
 from .errors import DomainError, NumericalError
 from .specfun import fermi_dirac
@@ -70,5 +69,4 @@ __all__ = [
     "ratio_grid",
     "thermo_point",
     "thermo_point_from_eta",
-    "wavefunction",
 ]

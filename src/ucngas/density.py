@@ -109,7 +109,7 @@ def density_ratio(t, mgz_over_ef):
     one eta solve over the distinct values of t and one batched F_{1/2} call.
     """
     x = np.asarray(mgz_over_ef, dtype=float)
-    bad = ~((x >= 0.0) & np.isfinite(x))
+    bad = ~(x >= 0.0)
     if bad.any():
         raise DomainError(f"m g z / eps_F must be nonnegative, got {float(x[bad].flat[0])!r}")
     t = _check_t(t)

@@ -7,11 +7,10 @@ as an exact continuum. Energies come out in joules. A state carries the
 constants it was built with, so its wavefunction and turning point need
 no others.
 
-This is the one module that evaluates Ai, which comes from the AMOS
-routines exposed through scipy.special. scipy is imported inside the
-functions that need it, so importing the package loads none of it. The
-zeros are recorded from mpmath (tests/record_tables.py), so the levels
-evaluate no Ai and load no scipy.
+No Ai is evaluated here. The zeros a_n and the slopes |Ai'(a_n)| that
+normalize the states are recorded from mpmath (tests/record_tables.py),
+so the levels and states need numpy alone; the tests evaluate the
+wavefunction itself from a state (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .constants import NEUTRON, PhysicalConstants
 from .errors import DomainError
 
 ZERO_INDEX_MAX = 1000
-# Ai underflows double precision long before this; treat the tail as zero
-_AIRY_TAIL_CUT = 40.0
 
 
 @dataclass(frozen=True)
@@ -77,32 +74,14 @@ def eigen_energy_asymptotic(n_z: int, constants: PhysicalConstants = NEUTRON) ->
 
 
 def eigen_state(n_z: int, constants: PhysicalConstants = NEUTRON) -> EigenState:
-    """Build the normalized vertical eigenstate for quantum number n_z."""
-    from scipy import special
+    """Build the normalized vertical eigenstate for quantum number n_z.
 
-    zero = airy_zero(n_z)
-    slope = float(special.airy(zero)[1])
-    norm = constants.alpha ** (1.0 / 6.0) / abs(slope)
-    return EigenState(n_z, constants.e_g * abs(zero), zero, norm, constants)
-
-
-def wavefunction(state: EigenState, z):
-    """Normalized eigenfunction psi(z) = norm * Ai(alpha**(1/3) z + a_n).
-
-    ``z`` is a height in meters (scalar or array), z >= 0. Heights far
-    beyond the classical turning point map to exactly 0.0 because Ai has
-    fallen below double precision there.
+    psi(z) = norm * Ai(alpha**(1/3) z + a_n) for z >= 0, with the norm
+    alpha**(1/6) / |Ai'(a_n)| read from the recorded slopes.
     """
-    from scipy import special
-
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(~np.isfinite(z_arr)) or np.any(z_arr < 0.0):
-        raise DomainError("heights must be finite and nonnegative")
-    arg = state.constants.alpha ** (1.0 / 3.0) * z_arr + state.zero
-    safe = np.minimum(arg, _AIRY_TAIL_CUT)
-    psi = state.norm * np.asarray(special.airy(safe)[0], dtype=float)
-    psi = np.where(arg > _AIRY_TAIL_CUT, 0.0, psi)
-    return float(psi) if np.isscalar(z) else psi
+    zero = airy_zero(n_z)
+    norm = constants.alpha ** (1.0 / 6.0) / float(_tables.AIRY_SLOPES[n_z - 1])
+    return EigenState(n_z, constants.e_g * abs(zero), zero, norm, constants)
 
 
 def classical_turning_point(state: EigenState) -> float:

@@ -38,6 +38,16 @@ def bouncer_levels_fd(n_levels: int, constants, n_grid: int = 10_000, s_max: flo
     return vals * e_g
 
 
+def wavefunction(state, z):
+    """Normalized eigenfunction psi(z) = norm * Ai(alpha**(1/3) z + a_n) of a library state.
+
+    ``z`` is a height in meters above the floor, a scalar or an array. The
+    state supplies a_n, the norm and the constants; Ai is scipy's (AMOS).
+    """
+    arg = state.constants.alpha ** (1.0 / 3.0) * np.asarray(z, dtype=float) + state.zero
+    return state.norm * special.airy(arg)[0]
+
+
 AIRY_LEVELS = 1000  # zeros the semi-discrete sum takes from scipy
 # at tau > 0 the levels past AIRY_LEVELS may hold at most this share of the sum
 _LEVEL_TAIL_SHARE = 1e-10

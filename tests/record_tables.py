@@ -1,13 +1,13 @@
-"""Write src/ucngas/_tables.py, every constant F_j and the Airy zeros are read from.
+"""Write src/ucngas/_tables.py, every constant F_j and the Airy states are read from.
 
-Run it from the repository root (mpmath, about 45 seconds):
+Run it from the repository root (mpmath, about 50 seconds):
 
     python tests/record_tables.py
 
 The library derives no constant at run time: each table is recorded here
-once, from mpmath, and rounded once to a double. The module holds four
+once, from mpmath, and rounded once to a double. The module holds five
 strings of little-endian float64 in hex, so a process that compiles it
-from source parses four constants, not 4,024 float literals, and reads
+from source parses five constants, not 5,024 float literals, and reads
 each into a numpy array at import:
 
 - CHEBYSHEV, F_j on 0 < eta < 40, in 40 pieces of width 1. On piece k,
@@ -31,21 +31,26 @@ each into a numpy array at import:
   the order (order j, k).
 - AIRY_ZEROS, the zeros a_1 .. a_ZEROS of Ai (DLMF 9.9), each the double
   nearest it.
+- AIRY_SLOPES, |Ai'(a_n)| for the same zeros, each the double nearest it.
+  An antiderivative of Ai(x)^2 is x Ai(x)^2 - Ai'(x)^2, so Ai^2 integrates
+  to Ai'(a_n)^2 from a_n up: the slope is the one value of Ai a normalized
+  state needs.
 
-SERIES, SOMMERFELD and AIRY_ZEROS are computed at EXACT_DPS digits.
-Rerunning the script on an unchanged tree leaves the module byte for byte
-as it was. tests/test_tables.py reruns these functions on samples of
-each table and asserts the same bits.
+SERIES, SOMMERFELD, AIRY_ZEROS and AIRY_SLOPES are computed at EXACT_DPS
+digits. Rerunning the script on an unchanged tree leaves the module byte
+for byte as it was. tests/test_tables.py reruns these functions on
+samples of each table and asserts the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "ucngas" / "_tables.py"
 DPS = 30  # the Chebyshev pieces
-EXACT_DPS = 40  # the series and Sommerfeld coefficients and the zeros
+EXACT_DPS = 40  # the series and Sommerfeld coefficients, the zeros and the slopes
 DEGREE = 16
 PIECES = 40  # of width 1, on [0, 40]
 SERIES_TERMS = 24  # error bound 2 (3 + sqrt 8)^-24 = 8e-19 of F_j
@@ -109,12 +114,26 @@ def sommerfeld(j: float) -> list[float]:
         ]
 
 
-def airy_zero(n: int) -> float:
-    """The double nearest a_n, the n-th negative zero of Ai."""
+@functools.cache
+def _airy_zero_mp(n: int):
+    # a_n at EXACT_DPS digits; the root search is ~95% of a slope's cost
     import mpmath as mp
 
     with mp.workdps(EXACT_DPS):
-        return float(mp.airyaizero(n))
+        return mp.airyaizero(n)
+
+
+def airy_zero(n: int) -> float:
+    """The double nearest a_n, the n-th negative zero of Ai."""
+    return float(_airy_zero_mp(n))
+
+
+def airy_slope(n: int) -> float:
+    """The double nearest |Ai'(a_n)|, the slope of Ai at its n-th negative zero."""
+    import mpmath as mp
+
+    with mp.workdps(EXACT_DPS):
+        return float(abs(mp.airyai(_airy_zero_mp(n), derivative=1)))
 
 
 def _hex(name: str, values: list[float]) -> str:
@@ -134,6 +153,7 @@ def main() -> None:
         "SERIES": [a for j in ORDERS for a in series(j)],
         "SOMMERFELD": [a for j in ORDERS for a in sommerfeld(j)],
         "AIRY_ZEROS": [airy_zero(n) for n in range(1, ZEROS + 1)],
+        "AIRY_SLOPES": [airy_slope(n) for n in range(1, ZEROS + 1)],
     }
     TARGET.write_text(
         f'"""Recorded constants of F_j and Ai; written by tests/record_tables.py from mpmath.\n\n'
@@ -143,7 +163,8 @@ def main() -> None:
         f"  the rounding error of c_0, then the Chebyshev coefficients c_0 .. c_{DEGREE};\n"
         f"- SERIES, F_j on eta <= 0: the weights a_0 .. a_{SERIES_TERMS - 1} of each order;\n"
         f"- SOMMERFELD, F_j on eta >= 40: a_1 .. a_{SOMMERFELD_TERMS} of each order;\n"
-        f"- AIRY_ZEROS: a_1 .. a_{ZEROS}, the negative zeros of Ai.\n\n"
+        f"- AIRY_ZEROS: a_1 .. a_{ZEROS}, the negative zeros of Ai;\n"
+        f"- AIRY_SLOPES: |Ai'(a_1)| .. |Ai'(a_{ZEROS})|, the slopes of Ai at them.\n\n"
         f"Each is read at import into a read-only float64 array.\n"
         f'"""\n\nimport numpy as np\n\n\n'
         f"def _doubles(text: str) -> np.ndarray:\n"

@@ -54,11 +54,16 @@ from ucngas import (
     particle_number,
     ratio_grid,
     thermo_point,
-    wavefunction,
 )
 from ucngas.cli import main
 from ucngas.constants import ELEMENTARY_CHARGE
-from oracles import airy_level_number, bouncer_levels_fd, column_number, nested_cross_term
+from oracles import (
+    airy_level_number,
+    bouncer_levels_fd,
+    column_number,
+    nested_cross_term,
+    wavefunction,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [

@@ -259,22 +259,32 @@ def test_out_naming_a_fifo_writes_into_it(capsys, tmp_path):
 
 
 def test_requests_load_no_decimal_polynomial_fractions_mpmath_or_scipy():
-    # every F_j coefficient and Airy zero is read at import from ucngas._tables, so no
-    # request builds one in decimal or fractions or evaluates one in mpmath, each of
-    # which would cost every request memory and time; scipy is only for Ai itself
-    # (eigen states and wavefunctions), so importing the CLI and serving every
-    # subcommand loads no scipy module. The eigen request is the path that once took
-    # a 34-digit decimal Newton step per zero
+    # every F_j coefficient, Airy zero and slope |Ai'(a_n)| is read at import from
+    # ucngas._tables, so no request builds one in decimal or fractions or evaluates
+    # one in mpmath or scipy, each of which would cost every request memory and time.
+    # The library needs numpy alone: with scipy blocked, every public name imports,
+    # every eigenstate builds and every subcommand serves. The eigen request is the
+    # path that once took a 34-digit decimal Newton step per zero
     code = """
 import io, sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
 from contextlib import redirect_stdout
+from ucngas import *
 from ucngas.cli import main
 loaded = lambda: sorted(
-    m for m in sys.modules
-    if m in ("_decimal", "decimal", "fractions", "mpmath")
-    or m.partition(".")[0] == "scipy" or m.startswith("numpy.polynomial")
+    m for m, module in sys.modules.items()
+    if module is not None and (
+        m in ("_decimal", "decimal", "fractions", "mpmath")
+        or m.partition(".")[0] == "scipy" or m.startswith("numpy.polynomial")
+    )
 )
 print(loaded())
+states = [
+    eigen_state(n, c)
+    for c in (PhysicalConstants(), PhysicalConstants(g=9.80665e-6))
+    for n in range(1, 1001)
+]
+print(len(states), all(0.0 < s.norm < float("inf") for s in states))
 codes = []
 for args in (
     ["report", "--efermi-k", "1e-3"],
@@ -291,7 +301,7 @@ print(codes, len(out.getvalue().splitlines()), loaded())
         [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] 1001 []"]
+    assert result.stdout.splitlines() == ["[]", "2000 True", "[0, 0, 0, 0, 0] 1001 []"]
 
 
 def test_table_size_is_bounded(capsys):

@@ -71,6 +71,9 @@ def test_density_decays_to_zero_above_the_column():
     z_col = EPS_1MK / (C.m * C.g)
     assert density(1e-3, 20.0, EPS_1MK, C) == 0.0  # eta - m g z / kT is about -2.3e4
     assert density_ratio(1e-3, 30.0) == 0.0
+    # a finite height whose m g z / eps_F overflows to inf is still far above the column
+    assert density(0.1, 1.7e308, EPS_1MK, C) == 0.0
+    assert density_ratio(1e-3, math.inf) == 0.0
     ns = [density(1e-3, frac * z_col, EPS_1MK, C) for frac in np.linspace(0.9, 30.0, 60)]
     assert all(b <= a for a, b in zip(ns, ns[1:]))
     assert ns[0] > 0.0 and ns[-1] == 0.0
@@ -228,6 +231,8 @@ def test_density_validation():
         density(1e-5, 0.0, EPS_1MK, C)  # below the solver range
     with pytest.raises(DomainError):
         density_ratio(0.1, -0.5)
+    with pytest.raises(DomainError, match="got nan"):
+        density_ratio(0.1, math.nan)
     for t in (-1.0, math.nan):
         with pytest.raises(DomainError, match="reduced temperature must be nonnegative"):
             ratio_grid(t)

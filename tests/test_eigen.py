@@ -1,9 +1,10 @@
 """Airy zeros and bouncer eigenstates: energies, wavefunctions, oracle checks.
 
 The reference zeros A1 and A2 were produced independently by 30-digit
-root refinement; scipy's Ai checks every zero. tests/test_tables.py checks
-that the recorded zeros are what tests/record_tables.py writes from
-mpmath's airyaizero.
+root refinement; scipy's Ai checks every zero and every recorded slope
+|Ai'(a_n)|. tests/test_tables.py checks that the recorded zeros and slopes
+are what tests/record_tables.py writes from mpmath. The wavefunctions are
+oracles.wavefunction, scipy's Ai on the library's states.
 """
 
 import math
@@ -22,11 +23,11 @@ from ucngas import (
     eigen_energy_exact,
     eigen_state,
     eta_from_t,
-    wavefunction,
 )
+from ucngas import _tables
 from ucngas.constants import ELEMENTARY_CHARGE
 from ucngas.eigen import ZERO_INDEX_MAX
-from oracles import AIRY_LEVELS, airy_level_number, bouncer_levels_fd
+from oracles import AIRY_LEVELS, airy_level_number, bouncer_levels_fd, wavefunction
 
 A1 = -2.33810741045976704
 A2 = -4.08794944413097062
@@ -64,7 +65,8 @@ def test_every_zero_is_the_nth_zero_of_amos_ai():
     # seed +- 0.35 of the local zero spacing pi/sqrt(|a|), capped at 0.1: a
     # window narrower than the spacing, so a sign change of Ai across it is
     # the n-th zero alone; airy_zero(n) must lie inside, and a Newton step
-    # on scipy's Ai must move it by no more than 2 ulp
+    # on scipy's Ai must move it by no more than 2 ulp. The recorded slope
+    # |Ai'(a_n)| must be within 16 ulp of scipy's (9 at worst, at n = 7)
     n = np.arange(1, ZERO_INDEX_MAX + 1)
     seed = np.array([airy_zero_asymptotic(k) for k in n])
     width = np.minimum(0.1, 0.35 * np.pi / np.sqrt(-seed))
@@ -75,6 +77,8 @@ def test_every_zero_is_the_nth_zero_of_amos_ai():
     assert np.all(np.diff(zeros) < 0.0)
     ai, ai_prime = special.airy(zeros)[:2]
     assert np.all(np.abs(ai / ai_prime) <= 2.0 * np.spacing(-zeros))
+    slopes = np.abs(ai_prime)
+    assert np.all(np.abs(_tables.AIRY_SLOPES - slopes) <= 16.0 * np.spacing(slopes))
     # |Ai(a_n)| is at most 3.5e-14 up to n = 279 and 1.7e-13 beyond
     assert np.all(np.abs(ai) <= np.where(n <= 279, 1e-12, 1e-11))
     assert zeros[0] == pytest.approx(A1, abs=1e-12) and zeros[1] == pytest.approx(A2, abs=1e-12)
@@ -128,21 +132,6 @@ def test_state_normalization_constant():
 def test_wavefunction_vanishes_at_floor():
     state = eigen_state(1)
     assert abs(wavefunction(state, 0.0)) <= 1e-9 * state.norm
-
-
-def test_wavefunction_rejects_wall_region():
-    state = eigen_state(1)
-    with pytest.raises(DomainError):
-        wavefunction(state, -1e-9)
-    with pytest.raises(DomainError):
-        wavefunction(state, np.array([0.0, -1e-9]))
-
-
-def test_wavefunction_tail_is_exactly_zero():
-    state = eigen_state(1)
-    c = PhysicalConstants()
-    far = classical_turning_point(state) + 50.0 * c.l_g
-    assert wavefunction(state, far) == 0.0
 
 
 def test_wavefunction_normalized():

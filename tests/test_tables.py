@@ -3,31 +3,36 @@
 Each table is read as the library reads it and compared bit for bit with
 a rerun of the recorder. The CRVZ series weights are also derived a
 second way, by the published recurrence, as a check of the recorder's
-closed form. The Airy zeros' own properties (each is the n-th zero of
-scipy's Ai) are checked in test_eigen.
+closed form. The Airy zeros' and slopes' own properties (each zero is the
+n-th zero of scipy's Ai, each slope near scipy's |Ai'| there) are checked
+in test_eigen.
 """
 
 import numpy as np
 import pytest
 
-from ucngas import _tables, airy_zero
+from ucngas import _tables
 from ucngas.eigen import ZERO_INDEX_MAX
 from ucngas.specfun import _CHEBYSHEV, _SERIES, _SOMMERFELD, FD_ORDERS
 
 
-@pytest.mark.parametrize("table", ["CHEBYSHEV", "SERIES", "SOMMERFELD", "AIRY_ZEROS"])
+@pytest.mark.parametrize(
+    "table", ["CHEBYSHEV", "SERIES", "SOMMERFELD", "AIRY_ZEROS", "AIRY_SLOPES"]
+)
 def test_table_is_what_the_recorder_writes(table):
     # rerun on the last Chebyshev piece of every order, every series and Sommerfeld
-    # row, and the first eleven zeros, three far ones and a seeded sample: all 1,000
-    # zeros take ~17 s in mpmath
+    # row, and the first eleven zeros and slopes, three far ones and a seeded sample:
+    # all 1,000 zeros, which the slopes are taken at, cost ~17 s in mpmath
     pytest.importorskip("mpmath")
     import record_tables as rec
 
-    if table == "AIRY_ZEROS":
-        assert rec.ZEROS == ZERO_INDEX_MAX and _tables.AIRY_ZEROS.shape == (rec.ZEROS,)
+    if table in ("AIRY_ZEROS", "AIRY_SLOPES"):
+        library = getattr(_tables, table)
+        recorded = rec.airy_zero if table == "AIRY_ZEROS" else rec.airy_slope
+        assert rec.ZEROS == ZERO_INDEX_MAX and library.shape == (rec.ZEROS,)
         sample = np.random.default_rng(30).integers(12, rec.ZEROS, size=20, endpoint=True)
         for n in (*range(1, 12), 100, 500, 1000, *sample.tolist()):
-            assert airy_zero(n) == rec.airy_zero(n), n
+            assert float(library[n - 1]) == recorded(n), n
         return
     last = rec.PIECES - 1
     library, shape, rows, recorded = {
