@@ -95,7 +95,7 @@ def particle_number(eps_F: float, constants: PhysicalConstants = NEUTRON) -> flo
     N = float(_zero_t(2.0 * constants.m, eps_F)) * (2.0 * eps_F) / (5.0 * constants.m * constants.g)
     if not (0.0 < N < math.inf):
         raise DomainError(f"eps_F = {eps_F!r} J over- or underflows the particle number")
-    return N
+    return float(N)
 
 
 def density_ratio(t, mgz_over_ef):
@@ -105,8 +105,9 @@ def density_ratio(t, mgz_over_ef):
     At t -> 0 this approaches (1 - x)^(3/2) for x < 1 and zero above.
     Where eta - x/t falls below -FD_ETA_MAX the integral has long since
     underflowed, so the argument is clamped there and the ratio is 0.0.
-    t and x may be scalars or arrays that broadcast together; the call is
-    one eta solve over the distinct values of t and one batched F_{1/2} call.
+    t and x may be scalars, giving a float, or arrays that broadcast together;
+    the call is one eta solve over the distinct values of t and one batched
+    F_{1/2} call.
     """
     x = np.asarray(mgz_over_ef, dtype=float)
     bad = ~(x >= 0.0)
@@ -114,7 +115,8 @@ def density_ratio(t, mgz_over_ef):
         raise DomainError(f"m g z / eps_F must be nonnegative, got {float(x[bad].flat[0])!r}")
     t = _check_t(t)
     eta = np.maximum(eta_from_t(t, TRAPPED) - x / t, -FD_ETA_MAX)
-    return 1.5 * np.power(t, 1.5) * fermi_dirac(0.5, eta)
+    ratio = 1.5 * np.power(t, 1.5) * fermi_dirac(0.5, eta)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def bottom_density_vs_fermi(
@@ -125,8 +127,11 @@ def bottom_density_vs_fermi(
     Scales as eps_F^(3/2), a straight line of slope 3/2 on log-log axes.
     """
     temps = np.asarray(fermi_temperatures_K, dtype=float)
-    if np.any(~np.isfinite(temps)) or np.any(temps <= 0.0):
-        raise DomainError("Fermi temperatures must be positive and finite")
+    bad = ~((temps > 0.0) & (temps < math.inf))
+    if bad.any():
+        raise DomainError(
+            f"Fermi temperatures must be positive and finite, got {float(temps[bad].flat[0])!r}"
+        )
     n0 = _zero_t(2.0 * constants.m * constants.kB, temps)  # E = k_B T
     overflow = ~np.isfinite(n0)
     if overflow.any():
@@ -146,12 +151,13 @@ def ratio_grid(t: float, n_points: int = 400) -> np.ndarray:
 
     For t > 0.5 the evaporated fraction is significant, so points with
     exponentially growing spacing extend the grid to about 1.5 + 8t.
+    n_points is an integer (numpy's too, bool not) of at least 2.
     """
-    if n_points < 2:
-        raise DomainError(f"need at least 2 grid points, got {n_points}")
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 2:
+        raise DomainError(f"n_points must be an integer of at least 2, got {n_points!r}")
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"reduced temperature must be nonnegative, got {t!r}")
+        raise DomainError(f"reduced temperature must be nonnegative and finite, got {t!r}")
     base = np.linspace(0.0, _PROFILE_SPAN, n_points)
     if t <= _TAIL_ONSET_T:
         return base

@@ -46,9 +46,10 @@ def beta_epsf_from_eta(eta, s: float = TRAPPED):
     """Reduced inverse temperature beta*eps_F fixed by particle number.
 
     (beta eps_F)**(s+1) = (s+1) F_s(eta); monotone increasing in eta.
-    Takes a scalar or an array of eta.
+    Takes a scalar eta, giving a float, or an array, giving an array.
     """
-    return np.power((s + 1.0) * fermi_dirac(s, eta), 1.0 / (s + 1.0))
+    value = np.power((s + 1.0) * fermi_dirac(s, eta), 1.0 / (s + 1.0))
+    return float(value) if value.ndim == 0 else value
 
 
 def _check_t(t):
@@ -130,7 +131,8 @@ def _check_energy_order(s: float) -> None:
 def _energy(t, eta, s: float):
     # np.power, not **: a float's ** calls the C library, an array's numpy's
     # own vector pow, and the two differ in the last bit
-    return (s + 1.0) * np.power(t, s + 2.0) * fermi_dirac(s + 1.0, eta)
+    u = (s + 1.0) * np.power(t, s + 2.0) * fermi_dirac(s + 1.0, eta)
+    return float(u) if u.ndim == 0 else u
 
 
 def thermo_point(t, s: float = TRAPPED) -> ThermoPoint:

@@ -1,11 +1,17 @@
 """End-to-end acceptance checks, one printed verdict line per numbered check.
 
 Each check pins a quantitative claim about the library at its stated
-tolerance. Checks 3, 5, and 10b pin the series coefficients that the exact
+tolerance, and is the one place the suite asserts that claim; the three
+figure checks do the same for the shapes of the published curves. A
+point or bound a unit test would add to a claim is added to its check
+instead, at the tighter of the two bounds, and the unit tests of each
+module keep what no check asserts: closed forms, invariants, error paths.
+Checks 3, 5, and 10b pin the series coefficients that the exact
 integrals give (pi^2/4 curvature with trapped/free ratio 3, pi^2/4
 bottom-density slope, 5/2 classical energy). Each also asserts that the
-widely quoted coefficient (pi^2/2 and ratio 6, 5 pi^2/8, 7/2) falls outside
-the same tolerance, and prints both on its verdict line.
+widely quoted coefficient (pi^2/2 and ratio 6, 5 pi^2/8, 7/2) falls
+outside a tolerance the derived one meets, and prints both on its
+verdict line.
 test_series_oracle.py derives the same coefficients from mpmath alone.
 Checks 11 and 11b sum the particle number over the discrete Airy levels
 and pin how much the continuum density of states overcounts it; check 12
@@ -47,6 +53,7 @@ from ucngas import (
     density_ratio,
     density_zero_T,
     diluteness,
+    eigen_energy_asymptotic,
     eigen_energy_exact,
     eigen_state,
     eta_from_t,
@@ -99,36 +106,53 @@ def _quoted(coefficient: str, rejected: bool) -> str:
 
 
 def test_check_01_asymptotic_zero_accuracy():
+    # rows: the zeros a_n and the energies e_g |a_n|, n = 1..1000
+    levels = range(1, 1001)
     start = time.perf_counter()
     rels = np.array(
         [
-            abs(airy_zero_asymptotic(n) - airy_zero(n)) / abs(airy_zero(n))
-            for n in range(1, 1001)
+            [abs(airy_zero_asymptotic(n) - airy_zero(n)) / abs(airy_zero(n)) for n in levels],
+            [
+                abs(eigen_energy_asymptotic(n) - eigen_energy_exact(n)) / eigen_energy_exact(n)
+                for n in levels
+            ],
         ]
     )
     elapsed = time.perf_counter() - start
-    worst = float(rels.max())
-    ok = rels.argmax() == 0 and worst <= 0.01 and elapsed < 1.0
+    worst = rels.max(axis=0)
+    ok = (
+        np.all(np.diff(rels, axis=1) < 0.0)  # so the worst is at n = 1
+        and worst[0] <= 0.01
+        and worst[9] <= 1e-4
+        and elapsed < 1.0
+    )
     _verdict(
         "check 01",
         ok,
-        f"asymptotic zeros worst rel err {worst:.4%} at n={rels.argmax() + 1}, "
-        f"1000 zeros in {elapsed:.2f} s",
+        f"asymptotic zeros and energies worst rel err {worst[0]:.4%} at n=1, "
+        f"{worst[9]:.2e} at n=10, falling strictly to {worst[-1]:.2e} at n=1000, "
+        f"1000 levels in {elapsed:.2f} s",
     )
 
 
 def test_check_02_ground_state_energy():
-    e1_pev = eigen_energy_exact(1) / (1.0e-12 * ELEMENTARY_CHARGE)
+    e1 = eigen_energy_exact(1)
+    e1_pev = e1 / (1.0e-12 * ELEMENTARY_CHARGE)
     start = time.perf_counter()
-    oracle = bouncer_levels_fd(1, PhysicalConstants(), n_grid=10_000)[0]
+    grid = bouncer_levels_fd(5, PhysicalConstants(), n_grid=10_000)
     elapsed = time.perf_counter() - start
-    oracle_rel = abs(oracle / eigen_energy_exact(1) - 1.0)
-    ok = abs(e1_pev - 1.407) <= 0.001 and oracle_rel <= 1e-3 and elapsed < 10.0
+    oracle_rel = max(abs(level / eigen_energy_exact(n) - 1.0) for n, level in enumerate(grid, 1))
+    ok = (
+        abs(e1_pev / 1.4067188095476264 - 1.0) <= 1e-9  # the paper's 1.407 peV
+        and abs(e1 / 2.254e-31 - 1.0) <= 1e-3
+        and oracle_rel <= 1e-3
+        and elapsed < 10.0
+    )
     _verdict(
         "check 02",
         ok,
-        f"ground state {e1_pev:.6f} peV, grid oracle off by {oracle_rel:.2e} "
-        f"({elapsed:.2f} s)",
+        f"ground state {e1_pev:.10f} peV = {e1:.4e} J, grid oracle off by at most "
+        f"{oracle_rel:.2e} on levels 1-5 ({elapsed:.2f} s)",
     )
 
 
@@ -144,25 +168,44 @@ def test_check_03_chemical_potential_curvature():
     # Sommerfeld (pi^2/6) s: pi^2/4 trapped (s = 3/2), pi^2/12 free (s = 1/2)
     target, quoted = math.pi**2 / 4.0, math.pi**2 / 2.0
     coeff_out, ratio_out = not coeff_fits(quoted), not ratio_fits(6.0)
-    ok = coeff_fits(target) and ratio_fits(3.0) and coeff_out and ratio_out
+    points = np.array([0.02, 0.04, 0.05, 0.06, 0.08, 0.1])
+
+    def share(s, c):
+        """Largest |mu/eps_F - (1 - c t^2)| at the points, in units of 5 t^4."""
+        gap = np.abs(thermo_point(points, s).mu_over_ef - (1.0 - c * points**2))
+        return float(np.max(gap / (5.0 * points**4)))
+
+    # pointwise, each gas is within 5 t^4 of 1 - (pi^2/6) s t^2
+    pointwise = max(share(1.5, target), share(FREE, math.pi**2 / 12.0))
+    ok = coeff_fits(target) and ratio_fits(3.0) and pointwise <= 1.0 and coeff_out and ratio_out
     _verdict(
         "check 03",
         ok,
         f"fitted t^2 coefficient {coeff:.6f} vs pi^2/4 = {target:.6f} "
         f"{_quoted(f'pi^2/2 = {quoted:.6f}', coeff_out)}, "
-        f"trapped/free ratio {ratio:.4f} vs 3 {_quoted('6', ratio_out)}",
+        f"trapped/free ratio {ratio:.4f} vs 3 {_quoted('6', ratio_out)}; "
+        f"mu/eps_F at t = 0.02-0.1 within {pointwise:.2f} of the 5 t^4 bound, trapped and free",
     )
 
 
 def test_check_04_zero_temperature_energy():
-    u = thermo_point(1e-3).u_over_nef
-    u_free = thermo_point(1e-3, FREE).u_over_nef
-    ok = abs(u - 5.0 / 7.0) <= 1e-4 and abs(u_free - 3.0 / 5.0) <= 1e-4
+    # (name, value, target, bound): u -> (s+1)/(s+2), and the free gas's mu
+    # at t = 1e-3 is its Sommerfeld form 1 - (pi^2/12) t^2
+    cold_free = thermo_point(1e-3, FREE)
+    pins = [
+        ("u(1e-3)", thermo_point(1e-3).u_over_nef, 5.0 / 7.0, 1e-4),
+        ("u(1e-4)", thermo_point(1e-4).u_over_nef, 5.0 / 7.0, 1e-6),
+        ("free u(1e-3)", cold_free.u_over_nef, 0.6, 1e-5),
+        ("free mu(1e-3)", cold_free.mu_over_ef, 1.0 - math.pi**2 / 12.0 * 1e-6, 1e-8),
+    ]
+    ok = all(abs(value - target) <= bound for _, value, target, bound in pins)
     _verdict(
         "check 04",
         ok,
-        f"u(1e-3) = {u:.6f} (target 5/7 = {5 / 7:.6f}), "
-        f"free gas {u_free:.6f} (target 0.6)",
+        ", ".join(
+            f"{name} off {target:.9f} by {abs(value - target):.2e} (bound {bound:g})"
+            for name, value, target, bound in pins
+        ),
     )
 
 
@@ -177,11 +220,14 @@ def test_check_05_bottom_density_expansion():
     gap, bound, t = worst(math.pi**2 / 4.0)
     gap_quoted, bound_quoted, t_quoted = worst(5.0 * math.pi**2 / 8.0)
     quoted_out = gap_quoted > bound_quoted
-    ok = gap <= bound and quoted_out
+    # the remainder really is fourth order, not noise
+    remainder = abs(ratios[0.1] - (1.0 - math.pi**2 / 4.0 * 0.1 * 0.1))
+    ok = gap <= bound and remainder >= 2.0 * 0.1**4 and quoted_out
     _verdict(
         "check 05",
         ok,
-        f"|quadrature - (1 - (pi^2/4) t^2)| = {gap:.3e} vs bound {bound:.3e} at t = {t} "
+        f"|quadrature - (1 - (pi^2/4) t^2)| = {gap:.3e} vs bound {bound:.3e} at t = {t}, "
+        f"{remainder / 0.1**4:.2f} t^4 >= 2 t^4 at t = 0.1 "
         f"{_quoted(f'5 pi^2/8, gap {gap_quoted:.3e} at t = {t_quoted},', quoted_out)}",
     )
 
@@ -195,16 +241,19 @@ def test_check_06_worked_numbers_at_one_millikelvin():
     sep_cm = report.mean_separation * 100.0
     lam_cm = report.thermal_wavelength * 100.0
     ok = (
-        0.85e16 <= n00_cm3 <= 0.95e16
+        abs(n00_cm3 / 9.057627e15 - 1.0) <= 1e-6  # the paper's 0.9e16
         and abs(height_cm - 84.0) <= 1.0
-        and abs(sep_cm - 4.8e-6) <= 0.2e-6
+        and abs(sep_cm / 4.797281e-6 - 1.0) <= 1e-6  # the paper's 4.8e-6
         and abs(lam_cm - 8.0e-6) <= 0.2e-6
+        and report.degenerate
+        and abs(report.mean_separation * report.density ** (1.0 / 3.0) - 1.0) <= 1e-12
     )
     _verdict(
         "check 06",
         ok,
-        f"bottom density {n00_cm3:.3e} cm^-3, height {height_cm:.2f} cm, "
-        f"separation {sep_cm:.3e} cm, wavelength {lam_cm:.3e} cm",
+        f"bottom density {n00_cm3:.6e} cm^-3, height {height_cm:.2f} cm, "
+        f"separation {sep_cm:.6e} cm, wavelength {lam_cm:.3e} cm, "
+        f"{'degenerate' if report.degenerate else 'NOT degenerate'}",
     )
 
 
@@ -213,7 +262,7 @@ def test_check_07_number_conservation():
     eps_F = c.kB * 1e-3
     N = particle_number(eps_F, c)
     worst = 0.0
-    for t in (0.01, 0.1, 0.5, 1.0, 5.0):
+    for t in (0.01, 0.1, 0.3, 0.5, 1.0, 5.0):
         total = column_number(t, eps_F, c, density)
         worst = max(worst, abs(total / N - 1.0))
     ok = worst <= 1e-7
@@ -231,19 +280,25 @@ def test_check_08_double_integral_reduction():
 
 
 def test_check_09_orthonormality():
-    c = PhysicalConstants()
-    states = [eigen_state(n) for n in range(1, 11)]
-    z_end = classical_turning_point(states[-1]) + 10.0 * c.l_g
+    # a state carries its constants: those for a millionth of standard gravity
+    # give states orthonormal on their own length scale, with no constants passed
     worst = 0.0
-    for i, si in enumerate(states):
-        for sj in states[i:]:
-            overlap, _ = integrate.quad(
-                lambda z: wavefunction(si, z) * wavefunction(sj, z), 0.0, z_end, limit=300
-            )
-            target = 1.0 if si.n_z == sj.n_z else 0.0
-            worst = max(worst, abs(overlap - target))
+    for c in (PhysicalConstants(), PhysicalConstants(g=9.80665e-6)):
+        states = [eigen_state(n, c) for n in range(1, 11)]
+        z_end = classical_turning_point(states[-1]) + 10.0 * c.l_g
+        for i, si in enumerate(states):
+            for sj in states[i:]:
+                overlap, _ = integrate.quad(
+                    lambda z: wavefunction(si, z) * wavefunction(sj, z), 0.0, z_end, limit=300
+                )
+                target = 1.0 if si.n_z == sj.n_z else 0.0
+                worst = max(worst, abs(overlap - target))
     ok = worst <= 1e-8
-    _verdict("check 09", ok, f"10x10 overlap matrix, worst |<n|m> - delta| = {worst:.2e}")
+    _verdict(
+        "check 09",
+        ok,
+        f"10x10 overlap matrices at g and 1e-6 g, worst |<n|m> - delta| = {worst:.2e}",
+    )
 
 
 def test_check_10a_barometric_profile():
@@ -265,12 +320,31 @@ def test_check_10a_barometric_profile():
 
 
 def test_check_10b_classical_energy_slope():
-    slope = thermo_point(100.0).u_over_nef / 100.0
-    fits = lambda target: abs(slope / target - 1.0) <= 0.005
-    # (s+1) = Gamma(7/2)/Gamma(5/2): 3/2 kT kinetic plus kT potential energy
-    quoted_out = not fits(3.5)
-    ok = fits(2.5) and quoted_out
-    _verdict("check 10b", ok, f"u/t at t = 100 is {slope:.6f} vs 5/2 {_quoted('7/2', quoted_out)}")
+    hot, hot_free = thermo_point(100.0), thermo_point(100.0, FREE)
+    slope = hot.u_over_nef / 100.0
+    # (s+1) = Gamma(7/2)/Gamma(5/2): 3/2 kT kinetic plus kT potential energy;
+    # the quoted 7/2 falls outside 0.5%; the derived 5/2 is held to 1e-5 below
+    quoted_out = abs(slope / 3.5 - 1.0) > 0.005
+    slope_500 = thermo_point(500.0).u_over_nef / 500.0
+    # the free gas nears its 3/2 only as t^(-3/2), far slower than the trapped
+    # gas, so its limit is held together with that rate
+    free_dev = [abs(p.u_over_nef / p.t / 1.5 - 1.0) for p in (hot_free, thermo_point(1000.0, FREE))]
+    ratio = hot.u_over_nef / hot_free.u_over_nef
+    ok = (
+        abs(slope / 2.5 - 1.0) <= 1e-5
+        and abs(slope_500 / 2.5 - 1.0) <= 1e-6
+        and quoted_out
+        and free_dev[0] < 2e-4
+        and free_dev[1] < min(1e-5, free_dev[0] / 25.0)
+        and abs(ratio / (5.0 / 3.0) - 1.0) <= 2e-4
+    )
+    _verdict(
+        "check 10b",
+        ok,
+        f"u/t at t = 100 is {slope:.8f} and at t = 500 {slope_500:.9f} vs 5/2 "
+        f"{_quoted('7/2', quoted_out)}; free gas u/t off 3/2 by {free_dev[0]:.2e} at "
+        f"t = 100 and {free_dev[1]:.2e} at t = 1000; trapped/free {ratio:.5f} vs 5/3",
+    )
 
 
 def _continuum_number(mu: float, tau: float) -> float:
@@ -378,7 +452,9 @@ def test_check_12b_discrete_levels_fixed_number_finite_temperature():
 
 
 def test_fig1_curve_properties():
-    ts = np.geomspace(0.01, 2.0, 12)
+    # fig1's grid, the window from t = 1e-3 to 10 around it, and t = 0.1 and 0.5
+    wide = [np.geomspace(1e-3, 10.0, n) for n in (15, 12)]
+    ts = np.unique(np.concatenate([np.geomspace(0.01, 2.0, 12), *wide, [0.1, 0.5]]))
     gas, free = thermo_point(ts), thermo_point(ts, FREE)
     ok = bool(
         np.all(np.diff(gas.mu_over_ef) < 0.0)
@@ -391,7 +467,8 @@ def test_fig1_curve_properties():
     _verdict(
         "fig1",
         ok,
-        "mu decreasing, u increasing, trapped mu below / u above the free gas",
+        f"mu decreasing, u increasing, trapped mu below / u above the free gas "
+        f"at {ts.size} t in [{ts[0]:g}, {ts[-1]:g}]",
     )
 
 
@@ -418,8 +495,14 @@ def test_fig3_curve_properties():
 
     values = bottom_density_vs_fermi(temps, c)
     slopes = np.diff(np.log(values)) / np.diff(np.log(temps))
-    ok = bool(np.all(np.abs(slopes - 1.5) <= 1e-9))
-    _verdict("fig3", ok, f"log-log slope {slopes.mean():.12f} (target 3/2)")
+    # quadrupling eps_F multiplies the bottom density by 4^(3/2) = 8
+    cold, warm = bottom_density_vs_fermi([1e-3, 4e-3], c).tolist()
+    ok = bool(np.all(np.abs(slopes - 1.5) <= 1e-9)) and abs(warm / cold / 8.0 - 1.0) <= 1e-12
+    _verdict(
+        "fig3",
+        ok,
+        f"log-log slope {slopes.mean():.12f} (target 3/2), n(4 mK) / n(1 mK) = {warm / cold!r}",
+    )
 
 
 # every row of golden/fig2.csv that the batched F_j engine moved, each in its
